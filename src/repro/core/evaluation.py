@@ -259,7 +259,7 @@ class _TNRPPackState(PackState):
         ``ws[:i] + ws[i+1:] + [w_cand]``, the candidate sees ``ws``.
         Both the member sum and the candidate's throughput depend on the
         candidate only through its workload, hence the per-workload memo
-        (shared by the scalar scan and the vector kernel).
+        consulted by every same-workload candidate of Algorithm 1's scan.
         """
         entry = self._scan_cache.get(workload)
         if entry is None:

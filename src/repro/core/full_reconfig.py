@@ -35,7 +35,6 @@ from typing import Iterable, Mapping, Sequence
 from repro.cluster.instance import Instance, InstanceType, fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.cluster.task import Task
-from repro.core import pack_kernel
 from repro.core.evaluation import AssignmentEvaluator
 
 _EPS = 1e-9
@@ -298,21 +297,6 @@ class _ArgmaxScan:
         return best_task, best_rank[0]
 
 
-def _make_scan(
-    pool: _TaskPool, evaluator: AssignmentEvaluator, capacity, family: str
-):
-    """Pick the argmax implementation for one pack attempt.
-
-    The vectorized kernel (``EVA_PACK_KERNEL=numpy``, the default) takes
-    over when the pool is wide enough for the array setup to pay off;
-    both implementations make bit-identical decisions, so the choice is
-    pure mechanism (see :mod:`repro.core.pack_kernel`).
-    """
-    if pack_kernel.should_vectorize(evaluator, len(pool._ordered_keys)):
-        return pack_kernel.VectorScan(pool, evaluator, capacity, family)
-    return _ArgmaxScan(pool, evaluator, capacity, family)
-
-
 def _pack_one_instance(
     itype: InstanceType,
     pool: _TaskPool,
@@ -342,7 +326,7 @@ def _pack_one_instance(
     chosen: list[Task] = []
     pop_keys: list[tuple] = []
     state = evaluator.make_state()
-    scan = _make_scan(pool, evaluator, itype.capacity, itype.family)
+    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
     while True:
         best_task, best_value = scan.best(state)
         if best_task is None:

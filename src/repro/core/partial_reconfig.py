@@ -27,7 +27,7 @@ from repro.core.evaluation import AssignmentEvaluator
 from repro.core.full_reconfig import (
     PackedInstance,
     PackMemo,
-    _make_scan,
+    _ArgmaxScan,
     _TaskPool,
     full_reconfiguration,
     match_existing_instances,
@@ -62,7 +62,7 @@ def _fill_survivor(
     itype = survivor.instance_type
     tasks = list(survivor.tasks)
     state = evaluator.make_state(tasks)
-    scan = _make_scan(pool, evaluator, itype.capacity, itype.family)
+    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
     for t in tasks:
         scan.charge(t)
     while True:

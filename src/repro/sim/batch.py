@@ -36,7 +36,7 @@ import os
 import statistics
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
@@ -135,8 +135,19 @@ def parallel_map(
     results: list[_R | None] = []
     broken: list[int] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+        futures: list[Future[_R] | None] = []
+        for item in items:
+            try:
+                futures.append(pool.submit(fn, item))
+            except BrokenProcessPool:
+                # A worker died while items were still being submitted;
+                # the unsubmitted ones join the serial retry below.
+                futures.append(None)
         for index, future in enumerate(futures):
+            if future is None:
+                results.append(None)
+                broken.append(index)
+                continue
             try:
                 results.append(future.result())
             except BrokenProcessPool:

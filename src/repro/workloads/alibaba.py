@@ -429,12 +429,11 @@ def alibaba_replay_trace(
     10k jobs would stretch the simulated horizon past 3000 hours while
     keeping the cluster nearly idle.  The replay variant compresses the
     same job population into a dense schedule: an elevated arrival rate
-    sustains a wide concurrent task pool (the regime the vectorized
-    packing kernel targets), and the Pareto duration tail is clipped so
-    the simulated horizon is set by the arrival span, not by one
-    thousand-hour straggler.  Durations come from an isolated RNG draw
-    so the arrival/demand stream matches ``synthesize_alibaba_trace``'s
-    for the same seed.
+    sustains a wide concurrent task pool for Algorithm 1 to pack, and
+    the Pareto duration tail is clipped so the simulated horizon is set
+    by the arrival span, not by one thousand-hour straggler.  Durations
+    come from an isolated RNG draw so the arrival/demand stream matches
+    ``synthesize_alibaba_trace``'s for the same seed.
     """
     rng = np.random.default_rng(seed)
     durations = AlibabaDurationModel().sample(rng, num_jobs)

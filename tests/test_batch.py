@@ -11,6 +11,8 @@ NaN/inf values that previously slipped past the positivity guard).
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.cloud.delays import DelayModel
 from repro.core import make_scheduler, scheduler_names
 from repro.experiments.common import bench_scale, scaled
 from repro.interference.model import InterferenceModel
+from repro.sim import batch
 from repro.sim.batch import (
     Scenario,
     TraceSpec,
@@ -195,6 +198,27 @@ class TestWorkerDeath:
         'a worker died' without labels is useless in a large sweep."""
         with pytest.warns(RuntimeWarning, match=r"serially in the parent process: .*2"):
             parallel_map(_square_or_die, list(range(5)), workers=2)
+
+    def test_pool_broken_during_submission_retries_serially(
+        self, monkeypatch
+    ):
+        """A worker can die before every item is submitted; the items
+        never submitted must join the serial retry, not escape as
+        ``BrokenProcessPool``."""
+
+        class BreaksAfterTwoSubmits(ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                if self.submitted == 2:
+                    raise BrokenProcessPool("a worker died")
+                self.submitted += 1
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", BreaksAfterTwoSubmits)
+        with pytest.warns(RuntimeWarning, match=r"retrying 3 item\(s\).*: 2, 3, 4$"):
+            results = parallel_map(_square_or_die, list(range(5)), workers=2)
+        assert results == [0, 1, 4, 9, 16]
 
     def test_serial_path_unaffected(self):
         # workers=1 never enters the pool, so nothing dies.

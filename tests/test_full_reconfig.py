@@ -8,13 +8,19 @@ from repro.cloud.catalog import ec2_catalog
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import tasks_fit_on_type
 from repro.cluster.task import make_job
+from repro.core import full_reconfig, partial_reconfig
+from repro.core.deadline import DeadlineTNRPEvaluator
 from repro.core.evaluation import RPEvaluator, TNRPEvaluator
 from repro.core.full_reconfig import (
+    _ArgmaxScan,
+    _pack_one_instance,
+    _TaskPool,
     configuration_cost,
     full_reconfiguration,
     match_existing_instances,
     packing_summary,
 )
+from repro.core.partial_reconfig import partial_reconfiguration
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.throughput_table import (
     CoLocationThroughputTable,
@@ -247,8 +253,6 @@ class TestTaskPool:
 
     @staticmethod
     def _pool(tasks, example_catalog, group_identical=True):
-        from repro.core.full_reconfig import _TaskPool
-
         calc = ReservationPriceCalculator(example_catalog)
         return _TaskPool(tasks, RPEvaluator(calc), group_identical)
 
@@ -327,3 +331,351 @@ class TestTaskPool:
         assert pool.fingerprint() != fp1
         pool.push_back([rep])
         assert pool.fingerprint() == fp1
+
+
+def _single(workload, demand, job_id):
+    return make_job(workload, {"*": demand}, 1.0, job_id=job_id).tasks[0]
+
+
+class _ReferenceScan:
+    """Cache-free Algorithm 1 line 8 with ``_ArgmaxScan``'s interface.
+
+    Remaining capacity is a ``ResourceVector`` and every term of the
+    ``(value, RP, task_id)`` rank is recomputed on every call.
+    """
+
+    def __init__(self, pool, evaluator, capacity, family):
+        self._pool = pool
+        self._evaluator = evaluator
+        self._family = family
+        self._remaining = capacity
+
+    def charge(self, task):
+        self._remaining = self._remaining - task.demand_for(self._family)
+
+    def best(self, state):
+        feasible = [
+            t
+            for t in self._pool.representatives()
+            if t.demand_for(self._family).fits_within(self._remaining)
+        ]
+        if not feasible:
+            return None, -float("inf")
+        best = max(
+            feasible,
+            key=lambda t: (
+                state.value_with(t),
+                self._evaluator.task_rp(t),
+                t.task_id,
+            ),
+        )
+        return best, state.value_with(best)
+
+
+def use_reference_scan(monkeypatch):
+    """Make both Algorithm 1 call sites build ``_ReferenceScan``.
+
+    Returns a list that gains one entry per scan built from then on.
+    """
+    built = []
+
+    def make(pool, evaluator, capacity, family):
+        built.append(family)
+        return _ReferenceScan(pool, evaluator, capacity, family)
+
+    monkeypatch.setattr(full_reconfig, "_ArgmaxScan", make)
+    monkeypatch.setattr(partial_reconfig, "_ArgmaxScan", make)
+    return built
+
+
+def _scan_picks(tasks, evaluator, itype, members=()):
+    """Drive ``_ArgmaxScan`` through Algorithm 1's greedy loop, requiring
+    the reference pick and value at every step; return the picked task
+    ids.
+
+    ``members`` pre-charge the instance as ``_fill_survivor`` does: they
+    seed the state and use capacity but are not in the pool.
+    """
+    pool = _TaskPool(tasks, evaluator, True)
+    state = evaluator.make_state(members)
+    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
+    reference = _ReferenceScan(pool, evaluator, itype.capacity, itype.family)
+    for task in members:
+        scan.charge(task)
+        reference.charge(task)
+    picks = []
+    while True:
+        task, value = scan.best(state)
+        expected, expected_value = reference.best(state)
+        assert task is expected
+        assert value == expected_value
+        if task is None or value < state.value - 1e-9:
+            return picks
+        pool.pop(task)
+        state.add(task)
+        scan.charge(task)
+        reference.charge(task)
+        picks.append(task.task_id)
+
+
+def _evaluator(kind, calc, table, jobs, urgency):
+    if kind == "rp":
+        return RPEvaluator(calc)
+    if kind.startswith("tnrp"):
+        return TNRPEvaluator(calc, table, jobs=jobs)
+    return DeadlineTNRPEvaluator(calc, table, jobs=jobs, urgency=urgency)
+
+
+_WORKLOADS = st.sampled_from(["wa", "wb", "wc", "wd"])
+_DEMANDS = st.sampled_from(
+    [
+        ResourceVector(0, 2, 4),
+        ResourceVector(0, 4, 8),
+        ResourceVector(0, 8, 32),
+        ResourceVector(1, 4, 16),
+        ResourceVector(1, 8, 61),
+        ResourceVector(4, 16, 122),
+    ]
+)
+
+
+class TestArgmaxScan:
+    """Algorithm 1's inner argmax against a cache-free reference.
+
+    ``_ArgmaxScan`` memoizes RP, the delta-stable increment and demand
+    per representative, and tracks remaining capacity as three clamped
+    scalars; none of that may change a pick, a value or a tie-break.
+    """
+
+    def test_equal_value_equal_rp_highest_task_id_wins(self):
+        # Distinct workloads make distinct groups; one demand gives one
+        # RP and, under plain RP, one value.
+        catalog = ec2_catalog()
+        demand = ResourceVector(0, 4, 8)
+        tasks = [_single(f"w{i}", demand, f"job{i}") for i in range(8)]
+        ev = RPEvaluator(ReservationPriceCalculator(catalog))
+        itype = max(catalog, key=lambda it: it.capacity.cpus)
+        picks = _scan_picks(tasks, ev, itype)
+        assert picks == sorted((t.task_id for t in tasks), reverse=True)
+
+    def test_tied_value_higher_rp_wins(self):
+        # A and B tie on TNRP next to member M while RP(A) > RP(B): A is
+        # a GPU task at throughput RP(B)/RP(A) (single-task TNRP is
+        # tput·RP), B runs unimpeded, and M is unaffected by either.
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        member = _single("wm", ResourceVector(0, 1, 2), "jm")
+        cand_a = _single("wa", ResourceVector(1, 4, 16), "ja")
+        cand_b = _single("wb", ResourceVector(0, 2, 4), "jb")
+        ratio = calc.rp(cand_b) / calc.rp(cand_a)
+        assert 0.0 < ratio < 1.0
+        table = CoLocationThroughputTable(default_tput=1.0)
+        table.observe_single_task_job(
+            TaskPlacementObservation("wa", ("wm",)), ratio
+        )
+        table.observe_single_task_job(
+            TaskPlacementObservation("wm", ("wa",)), 1.0
+        )
+        table.observe_single_task_job(
+            TaskPlacementObservation("wm", ("wb",)), 1.0
+        )
+        ev = TNRPEvaluator(calc, table, jobs={})
+        state = ev.make_state([member])
+        assert state.value_with(cand_a) == state.value_with(cand_b)
+        itype = max(
+            catalog, key=lambda it: (it.capacity.gpus, it.capacity.ram_gb)
+        )
+        picks = _scan_picks([cand_a, cand_b], ev, itype, members=[member])
+        assert picks[0] == cand_a.task_id
+
+    def test_exact_path_tie_breaks_on_value_rp_task_id(self):
+        # An exact entry for a three-task set disables the pairwise
+        # path.  Next to members {w1, w2} it values A (w0) at
+        # RP(B)/RP(A) throughput, so A, B and C tie on value and A wins
+        # on RP; once A joins, B and C tie on value and RP, and the
+        # higher task id (C) wins.
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        members = [
+            _single("w1", ResourceVector(0, 1, 2), "jm1"),
+            _single("w2", ResourceVector(0, 1, 2), "jm2"),
+        ]
+        cand_a = _single("w0", ResourceVector(1, 4, 16), "ja")
+        cand_b = _single("w3", ResourceVector(0, 2, 4), "jb")
+        cand_c = _single("w4", ResourceVector(0, 2, 4), "jc")
+        ratio = calc.rp(cand_b) / calc.rp(cand_a)
+        table = CoLocationThroughputTable(default_tput=1.0)
+        table.sync({("w0", ("w1", "w2")): ratio})
+        assert table.has_large_exact_entries()
+        ev = TNRPEvaluator(calc, table, jobs={})
+        state = ev.make_state(members)
+        values = {state.value_with(t) for t in (cand_a, cand_b, cand_c)}
+        assert len(values) == 1
+        itype = max(
+            catalog, key=lambda it: (it.capacity.gpus, it.capacity.ram_gb)
+        )
+        picks = _scan_picks(
+            [cand_a, cand_b, cand_c], ev, itype, members=members
+        )
+        assert picks == [cand_a.task_id, cand_c.task_id, cand_b.task_id]
+
+    @pytest.mark.parametrize("start", ["fresh", "precharged"])
+    @pytest.mark.parametrize(
+        "kind", ["rp", "tnrp-pairwise", "tnrp-exact", "deadline"]
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                _WORKLOADS,
+                _DEMANDS,
+                st.integers(min_value=1, max_value=3),  # arity (§4.4)
+                st.sampled_from([1.0, 2.5, 4.0]),  # deadline urgency
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        pairs=st.lists(
+            st.tuples(
+                _WORKLOADS, _WORKLOADS, st.sampled_from([0.25, 0.5, 0.75, 0.9])
+            ),
+            max_size=6,
+        ),
+        deadline_exact=st.booleans(),
+        num_members=st.integers(min_value=1, max_value=2),
+    )
+    def test_every_step_matches_brute_force(
+        self, kind, start, jobs, pairs, deadline_exact, num_members
+    ):
+        table = CoLocationThroughputTable()
+        for a, b, tput in pairs:
+            if a != b:
+                table.observe_single_task_job(
+                    TaskPlacementObservation(a, (b,)), tput
+                )
+        if kind == "tnrp-exact" or (kind == "deadline" and deadline_exact):
+            # A three-task entry forces the exact path (§4.3).
+            table.sync({("wa", ("wb", "wc")): 0.5})
+        assert table.has_large_exact_entries() == (
+            kind == "tnrp-exact" or (kind == "deadline" and deadline_exact)
+        )
+        mapping, urgency, tasks = {}, {}, []
+        for i, (workload, demand, arity, u) in enumerate(jobs):
+            job = make_job(
+                workload, {"*": demand}, 1.0, num_tasks=arity, job_id=f"j{i}"
+            )
+            mapping[job.job_id] = job
+            urgency[job.job_id] = u
+            tasks.extend(job.tasks)
+        catalog = ec2_catalog()
+        ev = _evaluator(
+            kind, ReservationPriceCalculator(catalog), table, mapping, urgency
+        )
+        itype = max(catalog, key=lambda it: it.capacity.gpus)
+        members = tasks[:num_members] if start == "precharged" else []
+        _scan_picks(tasks[len(members):], ev, itype, members=members)
+
+
+def _microbench_setup(num_tasks, seed):
+    """A Table-7 task bag, a throughput table over some of its workloads,
+    and an urgency map over its jobs."""
+    tasks = microbench_task_pool(num_tasks, seed=seed)
+    table = CoLocationThroughputTable(default_tput=1.0)
+    for workload, other, tput in (
+        ("ViT", "GCN", 0.8),
+        ("A3C", "Diamond", 0.6),
+        ("GPT2", "GraphSAGE", 0.5),
+        ("CycleGAN", "ResNet18-2", 0.9),
+    ):
+        table.observe_single_task_job(
+            TaskPlacementObservation(workload, (other,)), tput
+        )
+    urgency = {t.job_id: (1.0, 2.5, 4.0)[i % 3] for i, t in enumerate(tasks)}
+    return tasks, table, urgency
+
+
+def _layout(packed):
+    return [
+        (p.instance_type.name, tuple(t.task_id for t in p.tasks))
+        for p in packed
+    ]
+
+
+class TestAlgorithmOneAgainstReference:
+    """Whole packings with ``_ArgmaxScan`` swapped for the cache-free
+    ``_ReferenceScan`` in both call sites: the same tasks, in the same
+    order, at the same value."""
+
+    @pytest.mark.parametrize("kind", ["rp", "tnrp", "deadline"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_pack_one_instance_matches_reference(self, kind, seed):
+        tasks, table, urgency = _microbench_setup(12, seed)
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        itype = max(catalog, key=lambda it: it.capacity.gpus)
+        outcomes = []
+        for reference in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                built = use_reference_scan(mp) if reference else []
+                ev = _evaluator(kind, calc, table, {}, urgency)
+                pool = _TaskPool(tasks, ev, True)
+                chosen, value = _pack_one_instance(itype, pool, ev)
+            assert len(built) == int(reference)
+            left = [t.task_id for t in pool.representatives()]
+            outcomes.append(([t.task_id for t in chosen], value, left))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("kind", ["rp", "tnrp", "deadline"])
+    def test_full_reconfiguration_matches_reference(self, kind, monkeypatch):
+        tasks, table, urgency = _microbench_setup(40, 7)
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        layouts = []
+        for reference in (False, True):
+            built = use_reference_scan(monkeypatch) if reference else []
+            ev = _evaluator(kind, calc, table, {}, urgency)
+            packed = full_reconfiguration(tasks, catalog, ev)
+            assert bool(built) == reference
+            layouts.append(_layout(packed))
+        assert layouts[0] == layouts[1]
+        assert any(len(ids) > 1 for _, ids in layouts[0])
+
+    @pytest.mark.parametrize("kind", ["rp", "tnrp", "deadline"])
+    def test_partial_reconfiguration_matches_reference(
+        self, kind, monkeypatch
+    ):
+        # Residents packed on their own leave spare capacity that
+        # ``_fill_survivor`` offers to the newcomers.
+        tasks, table, urgency = _microbench_setup(40, 11)
+        residents, newcomers = tasks[:28], tasks[28:]
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        current = [
+            (p.instance, p.tasks)
+            for p in full_reconfiguration(residents, catalog, RPEvaluator(calc))
+        ]
+        sizes = {inst.instance_id: len(ts) for inst, ts in current}
+        outcomes = []
+        for reference in (False, True):
+            built = use_reference_scan(monkeypatch) if reference else []
+            ev = _evaluator(kind, calc, table, {}, urgency)
+            result = partial_reconfiguration(current, newcomers, catalog, ev)
+            assert bool(built) == reference
+            filled = sorted(
+                p.instance.instance_id
+                for p in result.configuration
+                if p.instance.instance_id in sizes
+                and p.instance.instance_id not in result.drained_instance_ids
+                and len(p.tasks) > sizes[p.instance.instance_id]
+            )
+            outcomes.append(
+                (
+                    _layout(result.configuration),
+                    filled,
+                    result.repacked_task_ids,
+                    result.drained_instance_ids,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]  # some survivor took newcomers

@@ -54,6 +54,7 @@ from repro.sim.simulator import (
 )
 from repro.workloads.synthetic import synthetic_trace
 from repro.workloads.trace import Trace
+from test_full_reconfig import use_reference_scan
 
 _EPS = 1e-6
 
@@ -480,9 +481,9 @@ def _fuzz_scenario(seed: int) -> Scenario:
     slack_hi = slack_lo + float(rng.uniform(0.0, 1.5))
     builder_roll = rng.random()
     if builder_roll < 0.3:
-        # Replay-trace axis: the densified Alibaba/Gavel builders (the
-        # vectorized packing kernel's target regime), shrunk to fuzz
-        # size.  Durations are clipped tight so the scenario stays fast.
+        # Replay-trace axis: the densified Alibaba/Gavel builders (wide
+        # Algorithm-1 pools), shrunk to fuzz size.  Durations are
+        # clipped tight so the scenario stays fast.
         trace = TraceSpec.make(
             "alibaba-replay" if builder_roll < 0.15 else "gavel-replay",
             num_jobs=num_jobs,
@@ -738,21 +739,25 @@ class TestFuzzedScenarioInvariants:
         assert any(m.credits is not None for m in with_market)
 
 
-class TestPackKernelByteIdentity:
-    """End-to-end kernel equivalence: an entire simulation run under the
-    vectorized packing kernel (forced onto every pool width) must produce
-    byte-identical results to the scalar scan — the kernel is mechanism
-    only, never policy."""
+class TestReferenceScanByteIdentity:
+    """End-to-end: a whole simulation with Algorithm 1's argmax swapped
+    for the cache-free ``_ReferenceScan`` must be byte-identical to the
+    stock ``_ArgmaxScan`` run — the scan's memos are mechanism only,
+    never policy."""
 
-    @pytest.mark.parametrize("seed", [0, 2, 5, 9, 13, 17])
-    def test_fuzzed_scenarios_identical_across_kernels(self, seed, monkeypatch):
+    # Fuzz cases whose scheduler runs Algorithm 1: eva, the
+    # eviction-aware (hazard) evaluator, eva-failure, eva-deadline
+    # (urgency) and eva-market.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 6, 13, 17])
+    def test_fuzzed_scenarios_identical_to_reference_scan(
+        self, seed, monkeypatch
+    ):
         scenario = _fuzz_scenario(seed)
         trace = scenario.trace.build(default_seed=scenario.seed)
         catalog = ec2_catalog()
         results = []
-        for kernel, min_lanes in (("scalar", "0"), ("numpy", "0")):
-            monkeypatch.setenv("EVA_PACK_KERNEL", kernel)
-            monkeypatch.setenv("EVA_PACK_NUMPY_MIN_LANES", min_lanes)
+        for reference in (False, True):
+            built = use_reference_scan(monkeypatch) if reference else []
             sim = ClusterSimulator(
                 trace=trace,
                 scheduler=make_scheduler(scenario.scheduler, catalog),
@@ -763,11 +768,11 @@ class TestPackKernelByteIdentity:
                 market=scenario.market,
             )
             results.append(sim.run())
+            assert bool(built) == reference
         assert pickle.dumps(results[0]) == pickle.dumps(results[1])
 
-    def test_replay_trace_identical_across_kernels(self, monkeypatch):
-        """The kernel's target regime: a (shrunk) replay trace with wide
-        pools, run with the production lane threshold vs forced scalar."""
+    def test_replay_trace_identical_to_reference_scan(self, monkeypatch):
+        """A (shrunk) replay trace: wide Algorithm-1 pools."""
         spec = TraceSpec.make(
             "alibaba-replay",
             num_jobs=40,
@@ -778,13 +783,13 @@ class TestPackKernelByteIdentity:
         trace = spec.build(default_seed=1)
         catalog = ec2_catalog()
         results = []
-        for kernel, min_lanes in (("scalar", "0"), ("numpy", "1")):
-            monkeypatch.setenv("EVA_PACK_KERNEL", kernel)
-            monkeypatch.setenv("EVA_PACK_NUMPY_MIN_LANES", min_lanes)
+        for reference in (False, True):
+            built = use_reference_scan(monkeypatch) if reference else []
             sim = ClusterSimulator(
                 trace=trace, scheduler=make_scheduler("eva", catalog)
             )
             results.append(sim.run())
+            assert bool(built) == reference
         assert pickle.dumps(results[0]) == pickle.dumps(results[1])
 
 
