@@ -350,13 +350,16 @@ def _market_matrix() -> list[tuple[str, str, dict]]:
     spot = SpotConfig(
         enabled=True, preemption_rate_per_hour=0.2, seed=11, notice_s=300.0
     )
-    cells.append(
-        (
-            "msyn16-coupled-eva-market",
-            "eva-market",
-            {"trace": msyn, "market": coupled, "spot": spot},
+    # The same notices under the eviction-aware drain, which hides
+    # noticed instances from packing.
+    for scheduler in ("eva-market", "eva-eviction-aware"):
+        cells.append(
+            (
+                f"msyn16-coupled-{scheduler}",
+                scheduler,
+                {"trace": msyn, "market": coupled, "spot": spot},
+            )
         )
-    )
     # Finite capacity: backlog delays + PoolExhausted emission.
     tight = MarketConfig(
         enabled=True,
@@ -405,7 +408,7 @@ def _market_matrix() -> list[tuple[str, str, dict]]:
     cells.append(
         ("msyn16-replay-eva-market", "eva-market", {"trace": msyn, "market": replay})
     )
-    assert len(cells) == 8, f"market matrix drifted to {len(cells)} cells"
+    assert len(cells) == 9, f"market matrix drifted to {len(cells)} cells"
     return cells
 
 
