@@ -12,8 +12,9 @@ gives every scheduler a declared surface:
   path executes.
 * **observation-purity**: information the protocol delivers through the
   observation channel must not be sniffed off the cluster snapshot.
-  Concretely: scheduler code must not read ``Job.deadline_hours``
-  (deadline pressure arrives as
+  Concretely: policy code — schedulers and the
+  :class:`~repro.core.scheduler.Signal` components Eva composes — must
+  not read ``Job.deadline_hours`` (deadline pressure arrives as
   :class:`~repro.core.protocol.DeadlineApproaching` observations with a
   ``deadline_s`` payload — see :mod:`repro.core.deadline`), and must not
   reach into underscore-private attributes of non-``self`` objects
@@ -22,9 +23,10 @@ gives every scheduler a declared surface:
 
 Both rules work from the project-wide class index built by the shared
 visitor pass, resolving inheritance by class name: a class is a
-scheduler iff its base-name chain reaches ``Scheduler``, and its
-effective vocabulary is the nearest ``action_types`` declaration up that
-chain (``None`` anywhere means unrestricted).
+scheduler iff its base-name chain reaches ``Scheduler`` (a policy iff it
+reaches ``Scheduler`` or ``Signal``), and its effective vocabulary is
+the nearest ``action_types`` declaration up that chain (``None``
+anywhere means unrestricted).
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ __all__ = [
 
 #: The scheduler ABC; subclassing (transitively) makes a class subject
 #: to both contract rules.
-_SCHEDULER_ROOT = "Scheduler"
+_SCHEDULER_ROOTS = frozenset({"Scheduler"})
+
+#: Roots of policy code, subject to observation purity: schedulers and
+#: the signals Eva composes.
+_POLICY_ROOTS = _SCHEDULER_ROOTS | {"Signal"}
 
 #: Snapshot attributes reserved for the observation channel, mapped to
 #: the observation that carries the information.
@@ -84,20 +90,25 @@ class ClassIndex:
                     queue.append(entry[0])
         return chain
 
-    def is_scheduler(self, cls: ClassFacts) -> bool:
-        if cls.name == _SCHEDULER_ROOT:
-            return False  # the ABC itself is protocol code, not a policy
+    def _reaches(self, cls: ClassFacts, roots: frozenset[str]) -> bool:
+        if cls.name in roots:
+            return False  # the roots themselves are protocol code
         chain = self._base_chain(cls)
-        names = {c.name for c in chain}
-        if _SCHEDULER_ROOT in names:
+        if any(c.name in roots for c in chain):
             return True
-        # The root may live outside the scanned tree; fall back to the
+        # A root may live outside the scanned tree; fall back to the
         # base *names* appearing anywhere in the chain.
         return any(
-            base.rsplit(".", maxsplit=1)[-1] == _SCHEDULER_ROOT
+            base.rsplit(".", maxsplit=1)[-1] in roots
             for c in chain
             for base in c.base_names
         )
+
+    def is_scheduler(self, cls: ClassFacts) -> bool:
+        return self._reaches(cls, _SCHEDULER_ROOTS)
+
+    def is_policy(self, cls: ClassFacts) -> bool:
+        return self._reaches(cls, _POLICY_ROOTS)
 
     def vocabulary(self, cls: ClassFacts) -> tuple[str, ...] | None:
         """Nearest ``action_types`` declaration up the base chain.
@@ -155,10 +166,10 @@ def check_action_vocabulary(
 def check_observation_purity(
     facts: ModuleFacts, index: ClassIndex
 ) -> list[Finding]:
-    """Flag scheduler reads of snapshot state reserved for observations."""
+    """Flag policy reads of snapshot state reserved for observations."""
     findings: list[Finding] = []
     for cls in facts.classes:
-        if not index.is_scheduler(cls):
+        if not index.is_policy(cls):
             continue
         for line, attr, root in cls.attribute_reads:
             if root in _OWN_ROOTS:
@@ -189,7 +200,7 @@ def check_observation_purity(
                         line=line,
                         message=(
                             f"{cls.name} reads private attribute "
-                            f"{root}.{attr}; schedulers must use the "
+                            f"{root}.{attr}; policies must use the "
                             "public snapshot/observation surface"
                         ),
                     )

@@ -1,9 +1,9 @@
 """Eva's core contribution: reservation-price scheduling (§4).
 
 Also hosts the central scheduler registry: every evaluation scheduler
-(Eva and its ablation variants plus the four baselines) is constructible
-from a plain string name, so batch scenarios (:mod:`repro.sim.batch`)
-stay picklable across process boundaries.
+(Eva, its ablation variants and signal presets, plus the four baselines)
+is constructible from a plain string name, so batch scenarios
+(:mod:`repro.sim.batch`) stay picklable across process boundaries.
 """
 
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -37,21 +37,10 @@ from repro.core.heterogeneous import (
     HeterogeneousRPCalculator,
     heterogeneous_full_reconfiguration,
 )
-from repro.core.deadline import (
-    DeadlineAwareEvaScheduler,
-    DeadlineConfig,
-    DeadlineTNRPEvaluator,
-)
-from repro.core.failure import (
-    FailureAwareConfig,
-    FailureAwareEvaScheduler,
-    HazardTNRPEvaluator,
-)
+from repro.core.deadline import DeadlineUrgency
+from repro.core.failure import FailureHazard
 from repro.core.ilp import ILPResult, ilp_schedule
-from repro.core.market import (
-    MarketAwareEvaScheduler,
-    MarketPolicyConfig,
-)
+from repro.core.market import MarketPrices
 from repro.core.interfaces import JobThroughputReport, Scheduler
 from repro.core.monitor import ThroughputMonitor
 from repro.core.partial_reconfig import (
@@ -91,7 +80,8 @@ from repro.core.reservation_price import (
 from repro.core.scheduler import (
     EvaConfig,
     EvaScheduler,
-    EvictionAwareEvaScheduler,
+    EvictionNotices,
+    Signal,
     make_eva_variant,
 )
 from repro.core.throughput_table import (
@@ -190,26 +180,25 @@ def _eva_variant_factory(variant: str) -> SchedulerFactoryFn:
     return factory
 
 
-def _make_eviction_aware(catalog, interference=None, delay_model=None) -> Scheduler:
-    return EvictionAwareEvaScheduler(catalog, delay_model=delay_model)
+def _eva_preset(name: str, signal: type[Signal]) -> SchedulerFactoryFn:
+    """Default Eva plus one fresh ``signal``, under display ``name``."""
+
+    def factory(catalog, interference=None, delay_model=None) -> Scheduler:
+        return EvaScheduler(
+            catalog, delay_model=delay_model, name=name, signals=[signal()]
+        )
+
+    return factory
 
 
-def _make_deadline_aware(catalog, interference=None, delay_model=None) -> Scheduler:
-    return DeadlineAwareEvaScheduler(catalog, delay_model=delay_model)
-
-
-def _make_failure_aware(catalog, interference=None, delay_model=None) -> Scheduler:
-    return FailureAwareEvaScheduler(catalog, delay_model=delay_model)
-
-
-def _make_market_aware(catalog, interference=None, delay_model=None) -> Scheduler:
-    return MarketAwareEvaScheduler(catalog, delay_model=delay_model)
-
-
-register_scheduler("eva-eviction-aware", _make_eviction_aware)
-register_scheduler("eva-deadline", _make_deadline_aware)
-register_scheduler("eva-failure", _make_failure_aware)
-register_scheduler("eva-market", _make_market_aware)
+for _name, _display, _signal in (
+    ("eva-eviction-aware", "Eva-Eviction-Aware", EvictionNotices),
+    ("eva-deadline", "Eva-Deadline", DeadlineUrgency),
+    ("eva-failure", "Eva-Failure-Aware", FailureHazard),
+    ("eva-market", "Eva-Market-Aware", MarketPrices),
+):
+    register_scheduler(_name, _eva_preset(_display, _signal))
+del _name, _display, _signal
 register_scheduler("no-packing", _make_no_packing)
 register_scheduler("stratus", _make_stratus)
 register_scheduler("synergy", _make_synergy)
@@ -259,15 +248,11 @@ __all__ = [
     "no_packing_cost",
     "EvaConfig",
     "EvaScheduler",
-    "EvictionAwareEvaScheduler",
-    "DeadlineAwareEvaScheduler",
-    "DeadlineConfig",
-    "DeadlineTNRPEvaluator",
-    "FailureAwareConfig",
-    "FailureAwareEvaScheduler",
-    "HazardTNRPEvaluator",
-    "MarketAwareEvaScheduler",
-    "MarketPolicyConfig",
+    "Signal",
+    "EvictionNotices",
+    "DeadlineUrgency",
+    "FailureHazard",
+    "MarketPrices",
     "make_eva_variant",
     "Action",
     "AssignTask",

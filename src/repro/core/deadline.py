@@ -1,14 +1,16 @@
 """Deadline-SLO scheduling: urgency-weighted reservation prices.
 
 Eva's reservation-price machinery optimizes cost and is deadline-blind.
-This module adds the deadline-aware policy on top of the *unchanged*
-Algorithm-1 path: :class:`DeadlineAwareEvaScheduler` consumes
+:class:`DeadlineUrgency` is the :class:`~repro.core.scheduler.Signal`
+that adds deadline awareness on top of the *unchanged* Algorithm-1 path
+(registry preset ``eva-deadline``).  It consumes
 :class:`~repro.core.protocol.DeadlineApproaching` observations natively
 (the typed channel, never snapshot diffing), estimates each
 deadline-bearing job's remaining work from its throughput reports, and
 — when the job can no longer meet its deadline at the co-located
-throughput the table predicts — escalates the rate at which the job's
-reservation price is charged against interference.
+throughput the table predicts — publishes an urgency multiplier that
+escalates the rate at which the job's reservation price is charged
+against interference.
 
 The escalation generalizes the §4.4 multi-task penalty.  The standard
 single-task TNRP ``tput · RP(τ)`` is algebraically
@@ -40,166 +42,56 @@ The urgency factor comes from remaining work vs. time-to-deadline: with
 once ``required`` exceeds the throughput the table predicts for a packed
 placement (its pairwise default), and then
 
-    ``u = min(max_urgency, 1 / max(1 − required, 1 / max_urgency))``
+    ``u = min(MAX_URGENCY, 1 / max(1 − required, 1 / MAX_URGENCY))``
 
 — exactly the factor at which a ``(1 − tput) = 1 − required``
 degradation charge cancels one full reservation price, so the escalation
-grows as slack shrinks and saturates at ``max_urgency`` for jobs whose
+grows as slack shrinks and saturates at ``MAX_URGENCY`` for jobs whose
 deadline is already unattainable (bounding lateness instead).
 
-With no deadline-bearing jobs (or before any warning fires) the
-scheduler builds the stock evaluator with its shared cross-round caches
-and is behaviourally — and byte-for-byte — identical to
-:class:`~repro.core.scheduler.EvaScheduler`.
+With no at-risk jobs the signal publishes no urgency, and the scheduler
+runs the stock evaluator with its shared cross-round caches, byte for
+byte as plain Eva.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Sequence
-
-from repro.cloud.delays import DelayModel
-from repro.cluster.instance import InstanceType
 from repro.cluster.state import ClusterSnapshot
-from repro.core.evaluation import AssignmentEvaluator, TNRPCaches, TNRPEvaluator
-from repro.core.interfaces import JobThroughputReport
-from repro.core.protocol import DeadlineApproaching, Observation
-from repro.core.scheduler import EvaConfig, EvaScheduler
-from repro.cluster.task import Task
+from repro.core.protocol import (
+    DeadlineApproaching,
+    Observation,
+    throughput_reports,
+)
+from repro.core.scheduler import MAX_URGENCY, EvaScheduler, Signal
+from repro.core.throughput_table import DEFAULT_PAIRWISE_TPUT
 
-__all__ = [
-    "DeadlineConfig",
-    "DeadlineTNRPEvaluator",
-    "DeadlineAwareEvaScheduler",
-]
+__all__ = ["DeadlineUrgency"]
+
+#: Reconfiguration allowance subtracted from the time to deadline before
+#: computing the required throughput.  Isolating a job is not
+#: instantaneous (the at-risk call must land a scheduling round plus a
+#: checkpoint/launch cycle before the deadline), so the signal plans
+#: against a deadline this many seconds early: two scheduling periods,
+#: like the simulator's default warning horizon.  A job inside this
+#: window escalates to ``MAX_URGENCY`` outright.
+RECONFIG_HEADROOM_S = 600.0
 
 
-@dataclass(frozen=True)
-class DeadlineConfig:
-    """Tuning knobs of the deadline-urgency escalation.
+class DeadlineUrgency(Signal):
+    """Urgency for deadline-bearing jobs at risk (see module docstring).
 
-    Attributes:
-        max_urgency: Cap on the degradation-charge multiplier.  The
-            default (64) is far past the point where any tabled
-            co-location stops looking cost-efficient (a pairwise
-            throughput of ``t`` needs ``u > 1/(1-t)``; the table default
-            0.95 needs 20), while keeping values finite for the
-            already-late case.
-        risk_tput: Packed-throughput estimate that defines "at risk":
-            a job whose required throughput exceeds it cannot meet its
-            deadline if co-located.  ``None`` (default) reads the
-            scheduler's co-location table default — "via the throughput
-            table" — so the risk bar moves with the table the policy
-            actually packs against.
-        reconfig_headroom_s: Reconfiguration allowance subtracted from
-            the time-to-deadline before computing the required
-            throughput.  Isolating a job is not instantaneous — the
-            at-risk call must land a scheduling round plus a
-            checkpoint/launch cycle before the deadline — so the policy
-            plans against an effective deadline this many seconds early
-            (default: two scheduling periods, like the simulator's
-            default warning horizon).  A job inside the headroom window
-            escalates to ``max_urgency`` outright.
+    Deadlines reach it only as
+    :class:`~repro.core.protocol.DeadlineApproaching` observations, so
+    direct ``schedule()`` callers that bypass the observation channel get
+    plain Eva behaviour: the signal never sniffs ``Job.deadline_hours``
+    off the snapshot.  Remaining work is estimated by integrating the
+    per-round throughput reports, the same signal that feeds the
+    co-location table.
     """
 
-    max_urgency: float = 64.0
-    risk_tput: float | None = None
-    reconfig_headroom_s: float = 600.0
+    charges_urgency = True
 
-    def __post_init__(self) -> None:
-        if self.max_urgency < 1.0:
-            raise ValueError("max_urgency must be >= 1")
-        if self.risk_tput is not None and not 0.0 < self.risk_tput <= 1.0:
-            raise ValueError(f"risk_tput must be in (0, 1], got {self.risk_tput}")
-        if self.reconfig_headroom_s < 0:
-            raise ValueError("reconfig_headroom_s must be >= 0")
-
-
-@dataclass
-class DeadlineTNRPEvaluator(TNRPEvaluator):
-    """TNRP with per-job urgency multipliers on the degradation charge.
-
-    ``urgency`` maps job id → multiplier (``>= 1``); jobs absent from
-    the map are valued by the stock TNRP formula, bit for bit.  Built
-    fresh each round with fresh :class:`~repro.core.evaluation.TNRPCaches`
-    (urgency-dependent values must not leak into the scheduler's shared
-    cross-round memo), and its :meth:`cache_token` carries the urgency
-    map so whole-packing memo entries can never be reused across
-    different urgency states.
-    """
-
-    urgency: Mapping[str, float] = field(default_factory=dict)
-
-    #: Namespace of this evaluator's :meth:`cache_token`.  Subclasses
-    #: reusing the urgency machinery for a different policy (e.g. the
-    #: failure-hazard evaluator) override it so whole-packing memo
-    #: entries can never be shared across policies.
-    cache_tag: ClassVar[str] = "deadline"
-
-    def tnrp_from_tput(self, task: Task, tput: float) -> float:
-        u = self.urgency.get(task.job_id, 1.0)
-        if u == 1.0:
-            return super().tnrp_from_tput(task, tput)
-        # A task's u is fixed for this evaluator's (per-round) lifetime,
-        # so urgent values share the per-round tnrp memo without ever
-        # colliding with stock values under the same key.
-        cache = self.caches.tnrp
-        key = (task.task_id, tput)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        rp = self.calculator.rp(task)
-        job_rp = self._job_rp(task)
-        charge = job_rp if job_rp is not None else rp
-        value = rp - (1.0 - tput) * charge * u
-        cache[key] = value
-        return value
-
-    def group_key(self, task: Task) -> tuple:
-        # Equal workload/demand/arity tasks stop being interchangeable
-        # when their jobs carry different urgency.
-        return (*super().group_key(task), self.urgency.get(task.job_id, 1.0))
-
-    def cache_token(self) -> tuple | None:
-        base = super().cache_token()
-        if base is None:
-            return None
-        return (*base, self.cache_tag, tuple(sorted(self.urgency.items())))
-
-
-class DeadlineAwareEvaScheduler(EvaScheduler):
-    """Eva extended with deadline-SLO urgency (see module docstring).
-
-    A protocol-native policy: deadlines reach it exclusively as
-    :class:`~repro.core.protocol.DeadlineApproaching` observations
-    through the :meth:`observe` hook (direct ``schedule()`` callers that
-    bypass the observation channel get plain Eva behaviour — the policy
-    never sniffs ``Job.deadline_hours`` off the snapshot).  Remaining
-    work is estimated by integrating the per-round throughput reports,
-    the same signal that feeds the co-location table.
-    """
-
-    def __init__(
-        self,
-        catalog: Sequence[InstanceType],
-        config: EvaConfig | None = None,
-        delay_model: DelayModel | None = None,
-        name: str | None = None,
-        deadline_config: DeadlineConfig | None = None,
-    ):
-        super().__init__(
-            catalog,
-            config=config,
-            delay_model=delay_model,
-            name=name or "Eva-Deadline",
-        )
-        if not self.config.interference_aware:
-            raise ValueError(
-                "DeadlineAwareEvaScheduler needs the TNRP evaluator "
-                "(interference_aware=True): urgency escalates the "
-                "throughput-degradation charge"
-            )
-        self.deadline_config = deadline_config or DeadlineConfig()
+    def __init__(self) -> None:
         #: job id -> absolute deadline (seconds), learned from the typed
         #: observation channel and pruned against each snapshot.
         self._deadlines: dict[str, float] = {}
@@ -209,54 +101,26 @@ class DeadlineAwareEvaScheduler(EvaScheduler):
         #: This round's reported normalized throughput per job (jobs not
         #: fully running have no report and integrate at rate 0).
         self._round_tputs: dict[str, float] = {}
-        #: Urgency multipliers used by the most recent round (for
-        #: introspection and tests).
-        self.last_urgency: dict[str, float] = {}
+        #: A job whose required throughput exceeds this cannot meet its
+        #: deadline if co-located: the default pairwise throughput of
+        #: the table the scheduler packs with.
+        self._risk_tput = DEFAULT_PAIRWISE_TPUT
 
-    # ------------------------------------------------------------------
-    # Observation channel
-    # ------------------------------------------------------------------
+    def bind(self, eva: EvaScheduler) -> None:
+        self._risk_tput = eva.monitor.table.default_tput
+
     def observe(self, observations: tuple[Observation, ...]) -> None:
-        super().observe(observations)
         for obs in observations:
             if isinstance(obs, DeadlineApproaching):
                 self._deadlines[obs.job_id] = obs.deadline_s
+        self._round_tputs = {
+            r.job_id: r.normalized_tput for r in throughput_reports(observations)
+        }
 
-    def on_throughput_reports(
-        self, reports: tuple[JobThroughputReport, ...]
-    ) -> None:
-        super().on_throughput_reports(reports)
-        self._round_tputs = {r.job_id: r.normalized_tput for r in reports}
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def _pre_schedule(self, snapshot: ClusterSnapshot) -> None:
-        # Runs on every round — including memoized no-op rounds — so the
-        # progress integrals and urgency map never go stale.  Urgency
-        # feeds the evaluator's cache token, which keys the round memo.
+    def pre_round(self, snapshot: ClusterSnapshot) -> None:
         self._update_progress(snapshot)
-        self.last_urgency = self._compute_urgency(snapshot)
-        super()._pre_schedule(snapshot)
+        self.urgency = self._compute_urgency(snapshot)
 
-    def make_evaluator(self, snapshot: ClusterSnapshot) -> AssignmentEvaluator:
-        urgency = self.last_urgency
-        if not urgency:
-            # No at-risk jobs: the stock evaluator with the shared
-            # cross-round caches — the exact EvaScheduler path.
-            return super().make_evaluator(snapshot)
-        return DeadlineTNRPEvaluator(
-            calculator=self.rp_calculator,
-            table=self.monitor.table,
-            jobs=snapshot.jobs,
-            multi_task_aware=self.config.multi_task_aware,
-            caches=TNRPCaches(),
-            urgency=urgency,
-        )
-
-    # ------------------------------------------------------------------
-    # Remaining-work estimation and urgency
-    # ------------------------------------------------------------------
     def _update_progress(self, snapshot: ClusterSnapshot) -> None:
         """Integrate observed throughput into per-job work estimates.
 
@@ -288,12 +152,6 @@ class DeadlineAwareEvaScheduler(EvaScheduler):
         }
         if not self._deadlines:
             return {}
-        cfg = self.deadline_config
-        risk_tput = (
-            cfg.risk_tput
-            if cfg.risk_tput is not None
-            else self.monitor.table.default_tput
-        )
         now = snapshot.time_s
         urgency: dict[str, float] = {}
         for job_id, deadline_s in self._deadlines.items():
@@ -309,17 +167,16 @@ class DeadlineAwareEvaScheduler(EvaScheduler):
                 # spend money and migrations on a miss either way, so
                 # the job falls back to pure cost scheduling.
                 continue
-            slack_h = (deadline_s - cfg.reconfig_headroom_s - now) / 3600.0
+            slack_h = (deadline_s - RECONFIG_HEADROOM_S - now) / 3600.0
             if slack_h <= 0.0:
                 # Attainable, but only if isolation happens right now —
                 # the reconfiguration headroom is already being spent.
-                urgency[job_id] = cfg.max_urgency
+                urgency[job_id] = MAX_URGENCY
                 continue
             required = remaining_h / slack_h
-            if required <= risk_tput:
+            if required <= self._risk_tput:
                 continue  # on track even at packed throughput
             urgency[job_id] = min(
-                cfg.max_urgency,
-                1.0 / max(1.0 - required, 1.0 / cfg.max_urgency),
+                MAX_URGENCY, 1.0 / max(1.0 - required, 1.0 / MAX_URGENCY)
             )
         return urgency

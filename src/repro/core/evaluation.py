@@ -319,12 +319,21 @@ class TNRPEvaluator(AssignmentEvaluator):
       interfered multi-task jobs, which is what trips Algorithm 1's
       line 9–11 guard.
 
+    A job with urgency ``u != 1`` has its degradation charge scaled:
+    ``TNRP_u(τ, T) = RP(τ) − (1 − tput) · RP(charge) · u``, where the
+    charge is ``RP(j)`` under §4.4 and ``RP(τ)`` otherwise.  Standalone
+    placements (``tput = 1``) keep their full reservation price.
+
     Attributes:
         calculator: RP source.
         table: Co-location throughput table (online-learned).
         jobs: job_id → Job, needed for the multi-task extension.
         multi_task_aware: Toggle for the §4.4 extension ("Eva-Multi" vs
             "Eva-Single").
+        urgency: job_id → degradation-charge multiplier (``>= 1``); jobs
+            absent from the map keep the stock formula bit for bit.  A
+            non-empty map needs caches of its own, and it splits
+            :meth:`group_key` and :meth:`cache_token` by urgency.
     """
 
     calculator: ReservationPriceCalculator
@@ -337,6 +346,7 @@ class TNRPEvaluator(AssignmentEvaluator):
     #: Memoized RP(j) (or None when §4.4 does not apply) per job id; jobs
     #: and their RPs are fixed for this evaluator's lifetime (one round).
     _job_rp_cache: dict[str, float | None] = field(default_factory=dict, repr=False)
+    urgency: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # The shared caches hold RP-derived values; make sure they were
@@ -374,7 +384,12 @@ class TNRPEvaluator(AssignmentEvaluator):
             return cached
         rp = self.calculator.rp(task)
         job_rp = self._job_rp(task)
-        value = rp - (1.0 - tput) * job_rp if job_rp is not None else tput * rp
+        u = self.urgency.get(task.job_id, 1.0)
+        if u != 1.0:
+            charge = job_rp if job_rp is not None else rp
+            value = rp - (1.0 - tput) * charge * u
+        else:
+            value = rp - (1.0 - tput) * job_rp if job_rp is not None else tput * rp
         cache[key] = value
         return value
 
@@ -406,7 +421,12 @@ class TNRPEvaluator(AssignmentEvaluator):
         """Group also by job arity: RP(j) differs across arities (§4.4)."""
         job = self.jobs.get(task.job_id) if self.multi_task_aware else None
         arity = job.num_tasks if job is not None else 1
-        return (task.workload, self.calculator.demand_signature(task), arity)
+        key = (task.workload, self.calculator.demand_signature(task), arity)
+        if self.urgency:
+            # Equal tasks stop being interchangeable when their jobs
+            # carry different urgency.
+            return (*key, self.urgency.get(task.job_id, 1.0))
+        return key
 
     def cache_token(self) -> tuple | None:
         # TNRP additionally depends on the (mutable) throughput table;
@@ -415,9 +435,12 @@ class TNRPEvaluator(AssignmentEvaluator):
         # fingerprint (jobs are immutable).  The catalog token keeps memo
         # entries from leaking between schedulers priced against
         # different catalogs (satellite-1 bugfix).
-        return (
+        token = (
             "tnrp",
             self.multi_task_aware,
             self.calculator.catalog_token,
             self.table.version,
         )
+        if self.urgency:
+            return (*token, tuple(sorted(self.urgency.items())))
+        return token

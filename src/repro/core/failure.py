@@ -1,11 +1,12 @@
 """Failure-aware scheduling: empirical hazard → urgency-weighted RPs.
 
 Eva's reservation-price machinery optimizes cost and is failure-blind.
-This module adds the reliability-aware policy on top of the *unchanged*
-Algorithm-1 path, mirroring the two protocol-native precedents already
-in the tree:
+:class:`FailureHazard` is the :class:`~repro.core.scheduler.Signal`
+that adds reliability awareness on top of the *unchanged* Algorithm-1
+path (registry preset ``eva-failure``), pulling two of the scheduler's
+levers:
 
-* **Crashes** (the ``eva-deadline`` precedent, PR 5): the scheduler
+* **Crashes → urgency** (the lever ``eva-deadline`` uses): the signal
   consumes :class:`~repro.core.protocol.InstanceFailed` observations —
   never snapshot sniffing — and maintains *per-failure-domain empirical
   hazard estimates* (observed failure counts over elapsed time).  Jobs
@@ -23,115 +24,48 @@ in the tree:
   background crash noise — avoidance emerges from TNRP, not a side
   mechanism.
 
-* **Stragglers** (the ``eva-eviction-aware`` precedent, PR 4): a
-  :class:`~repro.core.protocol.StragglerReport` marks an instance as
-  degraded capacity (the CASH motivation: slow, not down).  Degraded
-  instances are hidden from the packing snapshot exactly like
-  notice-doomed spot instances, so the ordinary packing path drains
-  them — their tasks are re-placed on healthy capacity and the cluster
-  stops paying full price for fractional throughput.  A recovery report
+* **Stragglers → hidden instances** (the lever ``eva-eviction-aware``
+  uses): a :class:`~repro.core.protocol.StragglerReport` marks an
+  instance as degraded capacity (the CASH motivation: slow, not down).
+  Degraded instances are hidden from packing exactly like notice-doomed
+  spot instances, so the ordinary packing path drains them — their
+  tasks are re-placed on healthy capacity and the cluster stops paying
+  full price for fractional throughput.  A recovery report
   (``slowdown == 1.0``) clears the mark.
 
-With no failure observations the scheduler builds the stock evaluator
-with its shared cross-round caches and is behaviourally — and
-byte-for-byte — identical to :class:`~repro.core.scheduler.EvaScheduler`
-(the failure-enabled golden matrix pins the reaction, the fault-free
-matrices pin the identity).
+With no failure observations the signal publishes nothing and the
+scheduler is byte-for-byte plain Eva (the failure-enabled golden matrix
+pins the reaction, the fault-free matrices pin the identity).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Sequence
-
-from repro.cloud.delays import DelayModel
-from repro.cluster.instance import InstanceType
 from repro.cluster.state import ClusterSnapshot
-from repro.core.deadline import DeadlineTNRPEvaluator
-from repro.core.evaluation import AssignmentEvaluator, TNRPCaches
 from repro.core.protocol import InstanceFailed, Observation, StragglerReport
-from repro.core.scheduler import EvaConfig, EvaScheduler
+from repro.core.scheduler import MAX_URGENCY, Signal
 
-__all__ = [
-    "FailureAwareConfig",
-    "HazardTNRPEvaluator",
-    "FailureAwareEvaScheduler",
-]
+__all__ = ["FailureHazard"]
+
+#: Base degradation-charge multiplier per observed crash of a job,
+#: compounded (``STRIKE_URGENCY ** strikes``).  8 isolates a job after
+#: two strikes against the table's 0.95 pairwise default (which needs
+#: ``u > 20``), and after one strike when the striking domain is hot.
+STRIKE_URGENCY = 8.0
 
 
-@dataclass(frozen=True)
-class FailureAwareConfig:
-    """Tuning knobs of the failure-hazard escalation.
+class FailureHazard(Signal):
+    """Failure-hazard urgency and straggler draining (see module docstring).
 
-    Attributes:
-        strike_urgency: Base degradation-charge multiplier per observed
-            crash of a job (compounded: ``strike_urgency ** strikes``).
-            The default 8 isolates a job after two strikes against the
-            table's 0.95 pairwise default (which needs ``u > 20``), and
-            after one strike when the striking domain is hot.
-        max_urgency: Cap on the multiplier (same rationale as
-            :class:`~repro.core.deadline.DeadlineConfig.max_urgency`).
-        drain_stragglers: Hide straggler-reported instances from the
-            packing snapshot so the ordinary path drains them
-            (the eviction-notice precedent).  Disable to schedule as if
-            degraded capacity were healthy.
+    Failures and stragglers reach it only as typed observations.  Victim
+    attribution is best-effort from the last snapshot's placements (the
+    signal's own remembered state — a crash between a launch and the
+    next round has no remembered placement and simply goes
+    unattributed).
     """
 
-    strike_urgency: float = 8.0
-    max_urgency: float = 64.0
-    drain_stragglers: bool = True
+    charges_urgency = True
 
-    def __post_init__(self) -> None:
-        if self.strike_urgency < 1.0:
-            raise ValueError("strike_urgency must be >= 1")
-        if self.max_urgency < self.strike_urgency:
-            raise ValueError("max_urgency must be >= strike_urgency")
-
-
-@dataclass
-class HazardTNRPEvaluator(DeadlineTNRPEvaluator):
-    """The urgency-weighted TNRP evaluator under its own cache tag.
-
-    Identical arithmetic to the deadline evaluator — urgency multiplies
-    the degradation charge — but namespaced so failure-urgency packing
-    memo entries can never collide with deadline-urgency ones.
-    """
-
-    cache_tag: ClassVar[str] = "failure"
-
-
-class FailureAwareEvaScheduler(EvaScheduler):
-    """Eva extended with failure-hazard urgency (see module docstring).
-
-    A protocol-native policy: failures and stragglers reach it
-    exclusively as typed observations through the :meth:`observe` hook.
-    Victim attribution is best-effort from the last snapshot's
-    placements (the scheduler's own remembered state — a crash between
-    a launch and the next round has no remembered placement and simply
-    goes unattributed).
-    """
-
-    def __init__(
-        self,
-        catalog: Sequence[InstanceType],
-        config: EvaConfig | None = None,
-        delay_model: DelayModel | None = None,
-        name: str | None = None,
-        failure_config: FailureAwareConfig | None = None,
-    ):
-        super().__init__(
-            catalog,
-            config=config,
-            delay_model=delay_model,
-            name=name or "Eva-Failure-Aware",
-        )
-        if not self.config.interference_aware:
-            raise ValueError(
-                "FailureAwareEvaScheduler needs the TNRP evaluator "
-                "(interference_aware=True): hazard escalates the "
-                "throughput-degradation charge"
-            )
-        self.failure_config = failure_config or FailureAwareConfig()
+    def __init__(self) -> None:
         #: domain id -> observed failure count (the empirical hazard
         #: numerators; rates are over elapsed snapshot time).
         self._domain_failures: dict[int, int] = {}
@@ -140,22 +74,13 @@ class FailureAwareEvaScheduler(EvaScheduler):
         self._strikes: dict[str, int] = {}
         #: job id -> domain of its most recent strike.
         self._strike_domain: dict[str, int] = {}
-        #: instance id -> last reported slowdown (< 1.0); pruned against
-        #: each snapshot, cleared by a 1.0 recovery report.
-        self._stragglers: dict[str, float] = {}
         #: instance id -> job ids placed on it at the last observed
         #: snapshot (crash victim attribution).
         self._last_placements: dict[str, frozenset[str]] = {}
         #: Time of the most recent snapshot (hazard-rate denominator).
         self._last_time_s = 0.0
-        #: Urgency multipliers used by the most recent round.
-        self.last_urgency: dict[str, float] = {}
 
-    # ------------------------------------------------------------------
-    # Observation channel
-    # ------------------------------------------------------------------
     def observe(self, observations: tuple[Observation, ...]) -> None:
-        super().observe(observations)
         for obs in observations:
             if isinstance(obs, InstanceFailed):
                 domain = obs.failure_domain
@@ -169,16 +94,13 @@ class FailureAwareEvaScheduler(EvaScheduler):
                     self._strikes[job_id] = self._strikes.get(job_id, 0) + 1
                     self._strike_domain[job_id] = domain
                 self._last_placements.pop(obs.instance_id, None)
-                self._stragglers.pop(obs.instance_id, None)
+                self.hidden = self.hidden - {obs.instance_id}
             elif isinstance(obs, StragglerReport):
                 if obs.slowdown >= 1.0:
-                    self._stragglers.pop(obs.instance_id, None)
+                    self.hidden = self.hidden - {obs.instance_id}
                 else:
-                    self._stragglers[obs.instance_id] = obs.slowdown
+                    self.hidden = self.hidden | {obs.instance_id}
 
-    # ------------------------------------------------------------------
-    # Hazard estimates (introspection + escalation weights)
-    # ------------------------------------------------------------------
     def domain_hazard_per_hour(self) -> dict[int, float]:
         """Observed failures per hour, per failure domain."""
         hours = self._last_time_s / 3600.0
@@ -201,24 +123,16 @@ class FailureAwareEvaScheduler(EvaScheduler):
         mean = self._total_failures / len(self._domain_failures)
         return max(1.0, self._domain_failures.get(domain, 0) / mean)
 
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def _pre_schedule(self, snapshot: ClusterSnapshot) -> None:
-        # Runs on every round — including memoized no-op rounds — so the
-        # hazard state and the remembered placements never go stale.
+    def pre_round(self, snapshot: ClusterSnapshot) -> None:
         self._last_time_s = snapshot.time_s
         live_jobs = snapshot.jobs
         for job_id in [j for j in self._strikes if j not in live_jobs]:
             del self._strikes[job_id]
             self._strike_domain.pop(job_id, None)
-        live_instances = {st.instance_id for st in snapshot.instances}
-        self._stragglers = {
-            iid: s
-            for iid, s in self._stragglers.items()
-            if iid in live_instances
-        }
-        self.last_urgency = self._compute_urgency()
+        self.hidden = self.hidden.intersection(
+            st.instance_id for st in snapshot.instances
+        )
+        self.urgency = self._compute_urgency()
         self._last_placements = {
             st.instance_id: frozenset(
                 snapshot.tasks[tid].job_id
@@ -227,54 +141,12 @@ class FailureAwareEvaScheduler(EvaScheduler):
             )
             for st in snapshot.instances
         }
-        super()._pre_schedule(snapshot)
 
     def _compute_urgency(self) -> dict[str, float]:
-        cfg = self.failure_config
         urgency: dict[str, float] = {}
         for job_id, strikes in self._strikes.items():
             weight = self._domain_weight(self._strike_domain.get(job_id, -1))
             urgency[job_id] = min(
-                cfg.max_urgency, (cfg.strike_urgency**strikes) * weight
+                MAX_URGENCY, (STRIKE_URGENCY**strikes) * weight
             )
         return urgency
-
-    def make_evaluator(self, snapshot: ClusterSnapshot) -> AssignmentEvaluator:
-        urgency = self.last_urgency
-        if not urgency:
-            # No struck jobs: the stock evaluator with the shared
-            # cross-round caches — the exact EvaScheduler path.
-            return super().make_evaluator(snapshot)
-        return HazardTNRPEvaluator(
-            calculator=self.rp_calculator,
-            table=self.monitor.table,
-            jobs=snapshot.jobs,
-            multi_task_aware=self.config.multi_task_aware,
-            caches=TNRPCaches(),
-            urgency=urgency,
-        )
-
-    def _packing_snapshot(self, snapshot: ClusterSnapshot) -> ClusterSnapshot:
-        if not (self.failure_config.drain_stragglers and self._stragglers):
-            return snapshot
-        # Degraded capacity is hidden from packing exactly like
-        # notice-doomed spot instances: tasks re-place on healthy
-        # capacity, match_existing_instances cannot keep the id, and the
-        # ordinary diff drains + terminates the straggler.
-        degraded = self._stragglers
-        return ClusterSnapshot(
-            time_s=snapshot.time_s,
-            tasks=snapshot.tasks,
-            jobs=snapshot.jobs,
-            instances=tuple(
-                state
-                for state in snapshot.instances
-                if state.instance_id not in degraded
-            ),
-        )
-
-    def _round_key_extra(self) -> tuple:
-        # Pending straggler marks change the decision (drain/terminate)
-        # even though the packing snapshot hides the instances; urgency
-        # already partitions the memo via the evaluator's cache token.
-        return (tuple(sorted(self._stragglers.items())),)

@@ -4,22 +4,23 @@ Eva's reservation price *is* a price — the cheapest hourly rate that
 could host a task (§4.2) — but the stock calculator reads the catalog's
 static on-demand column.  When a spot market moves pool prices, a
 cost-efficiency argmax against stale prices keeps packing jobs into a
-pool whose discount has evaporated.  This module makes RP track the
-live market while leaving the Algorithm-1 path untouched, following the
-protocol-native precedents (eviction PR 4, deadline PR 5, failure PR 7):
+pool whose discount has evaporated.  :class:`MarketPrices` is the
+:class:`~repro.core.scheduler.Signal` that makes RP track the live
+market while leaving the Algorithm-1 path untouched (registry preset
+``eva-market``); it pulls the price-level lever:
 
-* **Price tracking** — the scheduler consumes
+* **Price tracking** — the signal consumes
   :class:`~repro.core.protocol.PriceChanged` observations (never market
-  internals) into a per-family multiplier map.  Each round it prices
-  packing against a *repriced catalog* — the stock catalog with each
-  type's ``hourly_cost`` scaled by its family's current multiplier —
-  through a :class:`~repro.core.reservation_price.ReservationPriceCalculator`
-  built per price level and cached.  Because every RP/TNRP/packing memo
-  keys on the calculator's ``catalog_token`` (which embeds the hourly
-  costs), the existing cache discipline partitions per price level for
-  free; with all multipliers at 1 the scheduler runs the stock
-  calculator, stock caches, stock everything — byte-identical to
-  :class:`~repro.core.scheduler.EvaScheduler`.
+  internals) into a per-family multiplier map.  Each round it publishes
+  a *repriced catalog* — the stock catalog with each type's
+  ``hourly_cost`` scaled by its family's current multiplier — with a
+  :class:`~repro.core.reservation_price.ReservationPriceCalculator` and
+  TNRP caches built per price level and cached.  Because every
+  RP/TNRP/packing memo keys on the calculator's ``catalog_token`` (which
+  embeds the hourly costs), the existing cache discipline partitions per
+  price level for free; with all multipliers at 1 the signal publishes
+  no price level and the scheduler runs the stock calculator, stock
+  caches, stock everything — byte-identical to plain Eva.
 
 * **Cross-pool migration** — emerges from the ordinary path: when pool
   A's multiplier rises, A's types price out of the full-reconfiguration
@@ -27,7 +28,7 @@ protocol-native precedents (eviction PR 4, deadline PR 5, failure PR 7):
   land in the cheaper pool and drained instances in the expensive one
   terminate.  No bespoke migration mechanism exists.
 
-* **Bid ceiling** — a family whose multiplier exceeds ``bid_ceiling``
+* **Bid ceiling** — a family whose multiplier exceeds ``BID_CEILING``
   is withheld from the packing catalog entirely (the scheduler refuses
   to bid at that price), *unless* dropping it would strand demand: a
   family is only droppable while some surviving family's per-dimension
@@ -35,32 +36,25 @@ protocol-native precedents (eviction PR 4, deadline PR 5, failure PR 7):
   are the only GPU capacity).
 
 * **On-demand fallback** — :class:`~repro.core.protocol.SpotEvictionNotice`
-  observations within ``storm_window_s`` of each other count toward an
-  eviction storm; at ``storm_threshold`` the scheduler clears its
-  ``use_spot`` flag for ``storm_cooldown_s``, and the simulator bills
+  observations within ``STORM_WINDOW_S`` of each other count toward an
+  eviction storm; at ``STORM_THRESHOLD`` the signal clears its
+  ``use_spot`` flag for ``STORM_COOLDOWN_S``, and the simulator bills
   subsequent launches at the full on-demand rate with no preemption
   draw — paying the premium to stop churning.
 
 * **Capacity pressure** — a :class:`~repro.core.protocol.PoolExhausted`
-  observation applies a one-round ``exhaust_penalty`` price floor to
+  observation applies a one-round ``EXHAUST_PENALTY`` price floor to
   the pool's families; if launches keep tripping the pool's capacity
   the penalty keeps re-arming, steering load toward pools with room.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import ClassVar, Sequence
+from dataclasses import replace
 
-from repro.cloud.delays import DelayModel
 from repro.cluster.instance import InstanceType
 from repro.cluster.state import ClusterSnapshot
-from repro.core.evaluation import (
-    AssignmentEvaluator,
-    RPEvaluator,
-    TNRPCaches,
-    TNRPEvaluator,
-)
+from repro.core.evaluation import TNRPCaches
 from repro.core.protocol import (
     Observation,
     PoolExhausted,
@@ -68,92 +62,42 @@ from repro.core.protocol import (
     SpotEvictionNotice,
 )
 from repro.core.reservation_price import ReservationPriceCalculator
-from repro.core.scheduler import EvaConfig, EvaScheduler
+from repro.core.scheduler import EvaScheduler, PriceLevel, Signal
 
-__all__ = [
-    "MarketPolicyConfig",
-    "MarketAwareEvaScheduler",
-]
+__all__ = ["MarketPrices"]
 
+#: Maximum price multiplier the signal bids at; families priced above it
+#: are withheld from packing when a covering family survives.
+BID_CEILING = 1.6
+#: Eviction notices within ``STORM_WINDOW_S`` that declare an eviction
+#: storm.  On-demand trades at ~3x the spot rate, so the fallback is an
+#: emergency brake against pathological churn, not a routine response:
+#: it only trips when evictions cluster far beyond the background rate.
+STORM_THRESHOLD = 6
+#: Sliding window (over notice eviction times) the threshold counts in.
+STORM_WINDOW_S = 900.0
+#: How long after a storm declaration launches stay on-demand.
+STORM_COOLDOWN_S = 900.0
+#: One-round price-multiplier floor applied to an exhausted pool's
+#: families.
+EXHAUST_PENALTY = 1.5
 
-@dataclass(frozen=True)
-class MarketPolicyConfig:
-    """Bid/fallback knobs of the market-aware policy.
-
-    Attributes:
-        bid_ceiling: Maximum price multiplier the scheduler will bid at;
-            families priced above it are withheld from packing when a
-            covering family survives (see module docstring).
-        storm_threshold: Eviction notices within the window that declare
-            an eviction storm.  On-demand trades at ~3x the spot rate,
-            so the fallback is an emergency brake against pathological
-            churn, not a routine response — the default only trips when
-            evictions cluster far beyond the background rate.
-        storm_window_s: Sliding window (over notice eviction times) the
-            threshold counts in.
-        storm_cooldown_s: How long after a storm declaration launches
-            stay on-demand.
-        exhaust_penalty: One-round price-multiplier floor applied to an
-            exhausted pool's families.
-    """
-
-    bid_ceiling: float = 1.6
-    storm_threshold: int = 6
-    storm_window_s: float = 900.0
-    storm_cooldown_s: float = 900.0
-    exhaust_penalty: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.bid_ceiling < 1.0:
-            raise ValueError(f"bid_ceiling must be >= 1, got {self.bid_ceiling}")
-        if self.storm_threshold < 1:
-            raise ValueError(
-                f"storm_threshold must be >= 1, got {self.storm_threshold}"
-            )
-        if self.storm_window_s <= 0:
-            raise ValueError(
-                f"storm_window_s must be > 0, got {self.storm_window_s}"
-            )
-        if self.storm_cooldown_s < 0:
-            raise ValueError(
-                f"storm_cooldown_s must be >= 0, got {self.storm_cooldown_s}"
-            )
-        if self.exhaust_penalty < 1.0:
-            raise ValueError(
-                f"exhaust_penalty must be >= 1, got {self.exhaust_penalty}"
-            )
+#: Cached price levels (bounded; quantized pool prices keep the level
+#: count small in practice).
+_MAX_PRICE_LEVELS = 64
 
 
-class MarketAwareEvaScheduler(EvaScheduler):
+class MarketPrices(Signal):
     """Eva bidding into a live spot market (see module docstring).
 
-    Protocol-native: prices, capacity pressure, and eviction storms
-    reach it exclusively as typed observations.  With no market
-    observations (or all multipliers back at 1) every round runs the
-    stock :class:`~repro.core.scheduler.EvaScheduler` path byte for
-    byte — the market golden matrix pins the reaction, the legacy
-    matrices pin the identity.
+    Prices, capacity pressure, and eviction storms reach it only as typed
+    observations.  With no market observations (or all multipliers back
+    at 1) it publishes no price level and keeps ``use_spot`` set, so the
+    scheduler runs the stock Eva path byte for byte — the market golden
+    matrix pins the reaction, the legacy matrices pin the identity.
     """
 
-    #: Cached repriced calculators per distinct price level (bounded;
-    #: quantized pool prices keep the level count small in practice).
-    _MAX_PRICE_LEVELS: ClassVar[int] = 64
-
-    def __init__(
-        self,
-        catalog: Sequence[InstanceType],
-        config: EvaConfig | None = None,
-        delay_model: DelayModel | None = None,
-        name: str | None = None,
-        market_config: MarketPolicyConfig | None = None,
-    ):
-        super().__init__(
-            catalog,
-            config=config,
-            delay_model=delay_model,
-            name=name or "Eva-Market-Aware",
-        )
-        self.market_config = market_config or MarketPolicyConfig()
+    def __init__(self) -> None:
         #: family -> current market multiplier (absent == 1.0).
         self._multipliers: dict[str, float] = {}
         #: pool -> families, pending one-round exhaustion penalties.
@@ -162,22 +106,16 @@ class MarketAwareEvaScheduler(EvaScheduler):
         self._notice_times: list[float] = []
         #: Simulation time until which launches stay on-demand.
         self._storm_until = float("-inf")
-        #: Read by the simulator at each launch (True = bid spot).
-        self.use_spot = True
         #: Effective family multipliers this round (prices + penalties).
         self._effective: dict[str, float] = {}
-        self._stock_catalog = self.catalog
-        self._stock_calculator = self.rp_calculator
-        #: price level -> (packing catalog, calculator, TNRP caches).
-        self._price_levels: dict[
-            tuple, tuple[list[InstanceType], ReservationPriceCalculator, TNRPCaches]
-        ] = {}
+        self._stock_catalog: list[InstanceType] = []
+        #: price level key -> cached price level.
+        self._price_levels: dict[tuple, PriceLevel] = {}
 
-    # ------------------------------------------------------------------
-    # Observation channel
-    # ------------------------------------------------------------------
+    def bind(self, eva: EvaScheduler) -> None:
+        self._stock_catalog = eva.catalog
+
     def observe(self, observations: tuple[Observation, ...]) -> None:
-        super().observe(observations)
         for obs in observations:
             if isinstance(obs, PriceChanged):
                 for family in obs.families:
@@ -192,19 +130,13 @@ class MarketAwareEvaScheduler(EvaScheduler):
             elif isinstance(obs, SpotEvictionNotice):
                 self._notice_times.append(obs.eviction_time_s)
 
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def _pre_schedule(self, snapshot: ClusterSnapshot) -> None:
-        # Runs on memoized rounds too, so the storm detector and the
-        # penalty decay never go stale.
+    def pre_round(self, snapshot: ClusterSnapshot) -> None:
         now = snapshot.time_s
-        cfg = self.market_config
         self._notice_times = [
-            t for t in self._notice_times if t > now - cfg.storm_window_s
+            t for t in self._notice_times if t > now - STORM_WINDOW_S
         ]
-        if len(self._notice_times) >= cfg.storm_threshold:
-            self._storm_until = now + cfg.storm_cooldown_s
+        if len(self._notice_times) >= STORM_THRESHOLD:
+            self._storm_until = now + STORM_COOLDOWN_S
             # Consume the notices that declared the storm: extending the
             # cooldown requires a fresh cluster of evictions, not the
             # same ones re-counted every round.
@@ -214,38 +146,40 @@ class MarketAwareEvaScheduler(EvaScheduler):
         for families in self._exhausted.values():
             for family in families:
                 effective[family] = max(
-                    effective.get(family, 1.0), cfg.exhaust_penalty
+                    effective.get(family, 1.0), EXHAUST_PENALTY
                 )
         # Penalties last one round; a still-hot pool re-emits on the
         # next over-capacity launch, re-arming them.
         self._exhausted.clear()
         self._effective = {f: m for f, m in effective.items() if m != 1.0}
-        self._apply_price_level(self._effective)
-        super()._pre_schedule(snapshot)
+        self.price_level = self._price_level(self._effective)
 
-    def _apply_price_level(self, effective: dict[str, float]) -> None:
-        """Point catalog + calculator at the current price level."""
+    def round_key_extra(self) -> tuple:
+        # The spot flag changes launches without reaching the evaluator,
+        # so it keys the round memo explicitly, next to the multipliers
+        # the price level was built from.
+        return (tuple(sorted(self._effective.items())), self.use_spot)
+
+    def _price_level(self, effective: dict[str, float]) -> PriceLevel | None:
+        """The cached repriced catalog at ``effective``, or None at par."""
         if not effective:
-            self.catalog = self._stock_catalog
-            self.rp_calculator = self._stock_calculator
-            return
+            return None
         key = tuple(sorted(effective.items()))
-        entry = self._price_levels.get(key)
-        if entry is None:
-            if len(self._price_levels) >= self._MAX_PRICE_LEVELS:
+        level = self._price_levels.get(key)
+        if level is None:
+            if len(self._price_levels) >= _MAX_PRICE_LEVELS:
                 self._price_levels.clear()
             catalog = self._repriced_catalog(effective)
-            entry = (catalog, ReservationPriceCalculator(catalog), TNRPCaches())
-            self._price_levels[key] = entry
-        self.catalog, self.rp_calculator = entry[0], entry[1]
+            level = (catalog, ReservationPriceCalculator(catalog), TNRPCaches())
+            self._price_levels[key] = level
+        return level
 
     def _repriced_catalog(self, effective: dict[str, float]) -> list[InstanceType]:
         """Stock catalog at live prices, minus families bid-ceilinged out."""
-        ceiling = self.market_config.bid_ceiling
         overpriced = {
             family
             for family, mult in effective.items()
-            if mult > ceiling and self._family_droppable(family)
+            if mult > BID_CEILING and self._family_droppable(family)
         }
         return [
             replace(
@@ -285,24 +219,3 @@ class MarketAwareEvaScheduler(EvaScheduler):
             if all(h >= n for h, n in zip(have, need)):
                 return True
         return False
-
-    def make_evaluator(self, snapshot: ClusterSnapshot) -> AssignmentEvaluator:
-        if self.rp_calculator is self._stock_calculator:
-            # At-par market: the stock evaluator with the shared
-            # cross-round caches — the exact EvaScheduler path.
-            return super().make_evaluator(snapshot)
-        if not self.config.interference_aware:
-            return RPEvaluator(self.rp_calculator)
-        return TNRPEvaluator(
-            calculator=self.rp_calculator,
-            table=self.monitor.table,
-            jobs=snapshot.jobs,
-            multi_task_aware=self.config.multi_task_aware,
-            caches=self._price_levels[tuple(sorted(self._effective.items()))][2],
-        )
-
-    def _round_key_extra(self) -> tuple:
-        # Prices partition the memo through the evaluator's catalog
-        # token already, but the spot/on-demand flag and any pending
-        # penalties do not reach the evaluator — key them explicitly.
-        return (tuple(sorted(self._effective.items())), self.use_spot)

@@ -15,13 +15,18 @@ Eva-Single          ``multi_task_aware=False`` (Table 6, Figure 7)
 Eva w/o Full        ``enable_full=False`` (Figure 6)
 Eva Full-only       ``enable_partial=False`` (Figure 5b)
 ==================  =============================================
+
+Policy extensions (eviction notices, deadlines, failures, spot prices)
+are :class:`Signal` components passed as ``signals=``, not subclasses:
+each signal learns from typed observations and publishes per-round
+levers that :class:`EvaScheduler` combines in one place.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import ClassVar, Mapping, Sequence
 
 from repro.cloud.delays import DelayModel
 from repro.cluster.instance import InstanceType, _instance_counter
@@ -128,6 +133,81 @@ class _RoundMemoEntry:
     adopted_full: bool
 
 
+#: Cap on an urgency multiplier.  Far past the point where any tabled
+#: co-location stops looking cost-efficient (a pairwise throughput ``t``
+#: needs ``u > 1/(1-t)``; the table default 0.95 needs 20), while keeping
+#: values finite for jobs that are already late.
+MAX_URGENCY = 64.0
+
+#: A repriced ``(catalog, calculator, TNRP caches)`` triple.
+PriceLevel = tuple[list[InstanceType], ReservationPriceCalculator, TNRPCaches]
+
+
+class Signal:
+    """One policy input to :class:`EvaScheduler`.
+
+    A signal learns from typed observations in :meth:`observe` and, in
+    :meth:`pre_round` (which runs on memoized rounds too), prunes its
+    state against the snapshot and publishes up to three levers:
+
+    * ``urgency`` — job id → multiplier ``u >= 1`` on the job's
+      degradation charge (see :class:`~repro.core.evaluation.TNRPEvaluator`);
+    * ``hidden`` — instance ids hidden from packing, which the ordinary
+      packing path then drains;
+    * ``price_level`` — a repriced catalog that replaces the stock one
+      for the round, plus ``use_spot``, read by the simulator at each
+      launch.
+
+    The class defaults leave the scheduler on the stock Eva path.
+    """
+
+    #: Signals publishing urgency need the TNRP evaluator.
+    charges_urgency: ClassVar[bool] = False
+    urgency: Mapping[str, float] = MappingProxyType({})
+    hidden: frozenset[str] = frozenset()
+    price_level: PriceLevel | None = None
+    use_spot: bool = True
+
+    def bind(self, eva: "EvaScheduler") -> None:
+        """Called once by the owning scheduler's constructor."""
+
+    def observe(self, observations: tuple[Observation, ...]) -> None:
+        """Consume one round's typed observations."""
+
+    def pre_round(self, snapshot: ClusterSnapshot) -> None:
+        """Prune state against ``snapshot`` and publish this round's levers."""
+
+    def round_key_extra(self) -> tuple:
+        """State the round's decision depends on beyond the levers."""
+        return ()
+
+
+class EvictionNotices(Signal):
+    """Drain spot instances under an eviction notice (§7 extension).
+
+    Noticed instances are doomed, so they are hidden from packing: their
+    tasks migrate off with checkpointed progress intact while the
+    instance is still up, and the instance terminates before the market
+    reclaims it.  Compared to riding out the preemption, tasks skip the
+    queued-until-next-round gap and the cluster stops paying for
+    capacity it is about to lose.  Without notices
+    (``SpotConfig.notice_s == 0``, or on-demand runs) nothing is hidden.
+    """
+
+    def observe(self, observations: tuple[Observation, ...]) -> None:
+        self.hidden = self.hidden.union(
+            obs.instance_id
+            for obs in observations
+            if isinstance(obs, SpotEvictionNotice)
+        )
+
+    def pre_round(self, snapshot: ClusterSnapshot) -> None:
+        # A notice may outlive its instance.
+        self.hidden = self.hidden.intersection(
+            state.instance_id for state in snapshot.instances
+        )
+
+
 class EvaScheduler(Scheduler):
     """The Eva cluster scheduler."""
 
@@ -143,6 +223,7 @@ class EvaScheduler(Scheduler):
         config: EvaConfig | None = None,
         delay_model: DelayModel | None = None,
         name: str | None = None,
+        signals: Sequence[Signal] = (),
     ):
         self.catalog = list(catalog)
         self.config = config or EvaConfig()
@@ -155,6 +236,15 @@ class EvaScheduler(Scheduler):
         self._tnrp_caches = TNRPCaches()
         self._pack_memo = PackMemo()
         self.name = name or self._default_name()
+        self.signals = tuple(signals)
+        if not self.config.interference_aware and any(
+            s.charges_urgency for s in self.signals
+        ):
+            raise ValueError(
+                "urgency signals need the TNRP evaluator "
+                "(interference_aware=True): urgency escalates the "
+                "throughput-degradation charge"
+            )
         self._known_job_ids: set[str] = set()
         #: Arrival/completion count accumulated from the observation
         #: channel; ``None`` until the first :meth:`observe` call, after
@@ -163,22 +253,32 @@ class EvaScheduler(Scheduler):
         self._pending_job_events: int | None = None
         self.last_decision: ReconfigDecision | None = None
         #: Round-decision memo (no-op steady-state rounds short-circuit
-        #: the whole packing pipeline).  ``None`` when disabled: by the
-        #: ``EVA_ROUND_MEMO=0`` knob (equivalence testing), under a
+        #: the whole packing pipeline).  ``None`` when disabled: under a
         #: stochastic delay model (migration costing draws the RNG, so a
         #: replay would desynchronize the stream), or when a subclass
         #: overrides :meth:`schedule` wholesale (its extra logic would be
-        #: skipped on hits).
+        #: skipped on hits).  Setting it to ``None`` gives the memo-free
+        #: reference path.
         self._round_memo: dict[tuple, _RoundMemoEntry] | None = None
         if (
-            os.environ.get("EVA_ROUND_MEMO", "1") != "0"
-            and not self.delay_model.stochastic
+            not self.delay_model.stochastic
             and type(self).schedule is EvaScheduler.schedule
         ):
             self._round_memo = {}
         #: Last computed round key, keyed by the identity of the snapshot
         #: collections it was derived from (see :meth:`_round_key`).
         self._round_key_cache: tuple | None = None
+        #: This round's combined levers (see :class:`Signal`).
+        self._urgency: dict[str, float] = {}
+        self._hidden: frozenset[str] = frozenset()
+        self.use_spot = True
+        self._stock_level: PriceLevel = (
+            self.catalog,
+            self.rp_calculator,
+            self._tnrp_caches,
+        )
+        for signal in self.signals:
+            signal.bind(self)
 
     def _default_name(self) -> str:
         if not self.config.interference_aware:
@@ -211,16 +311,22 @@ class EvaScheduler(Scheduler):
             self._pending_job_events = count
         else:
             self._pending_job_events += count
+        for signal in self.signals:
+            signal.observe(observations)
 
     def make_evaluator(self, snapshot: ClusterSnapshot) -> AssignmentEvaluator:
         if not self.config.interference_aware:
             return RPEvaluator(self.rp_calculator)
+        urgency = self._urgency
         return TNRPEvaluator(
             calculator=self.rp_calculator,
             table=self.monitor.table,
             jobs=snapshot.jobs,
             multi_task_aware=self.config.multi_task_aware,
-            caches=self._tnrp_caches,
+            # Urgency-dependent values must not leak into the shared
+            # cross-round memo.
+            caches=TNRPCaches() if urgency else self._tnrp_caches,
+            urgency=urgency,
         )
 
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
@@ -231,23 +337,62 @@ class EvaScheduler(Scheduler):
         )
 
     def _pre_schedule(self, snapshot: ClusterSnapshot) -> None:
-        """Per-round bookkeeping that must run even on memoized rounds.
-
-        Subclasses extend this (progress integration, notice pruning)
-        instead of overriding :meth:`schedule`, so the round memo can
-        short-circuit the packing pipeline without skipping their state
-        updates.
-        """
+        """Per-round bookkeeping that must run even on memoized rounds:
+        the D̂ event count and the signals' levers."""
         self._track_events(snapshot)
+        if self.signals:
+            self._combine_levers(snapshot)
+
+    def _combine_levers(self, snapshot: ClusterSnapshot) -> None:
+        """Collect this round's levers from every signal.
+
+        Urgency maps combine by the per-job maximum, hidden ids by
+        union, and spot bidding by conjunction; the first published
+        price level replaces the stock catalog, calculator and TNRP
+        caches for the round.
+        """
+        urgency: dict[str, float] = {}
+        hidden: frozenset[str] = frozenset()
+        level: PriceLevel | None = None
+        use_spot = True
+        for signal in self.signals:
+            signal.pre_round(snapshot)
+            for job_id, u in signal.urgency.items():
+                urgency[job_id] = max(urgency.get(job_id, 1.0), u)
+            hidden |= signal.hidden
+            level = level or signal.price_level
+            use_spot = use_spot and signal.use_spot
+        self._urgency = urgency
+        self._hidden = hidden
+        self.use_spot = use_spot
+        self.catalog, self.rp_calculator, self._tnrp_caches = (
+            level or self._stock_level
+        )
 
     def _packing_snapshot(self, snapshot: ClusterSnapshot) -> ClusterSnapshot:
-        """The snapshot Algorithm 1 packs against (hook; default: as-is).
+        """The snapshot Algorithm 1 packs against: hidden instances dropped.
 
-        :meth:`decide` always diffs the chosen target against the
-        *original* snapshot, so a subclass hiding instances here still
-        emits the migrations/terminations that drain them.
+        Their tasks become unassigned (re-placed by partial reconfig,
+        repacked from scratch by full reconfig) and
+        ``match_existing_instances`` cannot keep a hidden id.  Since
+        :meth:`decide` diffs the chosen target against the *original*
+        snapshot, the planned decision migrates the tasks off and
+        terminates the instance: the drain emerges from the ordinary
+        packing path.
         """
-        return snapshot
+        hidden = self._hidden
+        if not hidden:
+            return snapshot
+        return ClusterSnapshot(
+            time_s=snapshot.time_s,
+            tasks=snapshot.tasks,
+            jobs=snapshot.jobs,
+            instances=tuple(
+                state
+                for state in snapshot.instances
+                if state.instance_id not in hidden
+            ),
+        )
 
     def _schedule_core(
         self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
@@ -278,8 +423,18 @@ class EvaScheduler(Scheduler):
     # Round-decision memo
     # ------------------------------------------------------------------
     def _round_key_extra(self) -> tuple:
-        """Subclass hook: extra state the round outcome depends on."""
-        return ()
+        """Signal state the round outcome depends on beyond the evaluator.
+
+        Urgency and prices reach the evaluator's cache token, but a
+        hidden instance changes the decision (drain + terminate) even
+        though the packing snapshot no longer shows it.
+        """
+        if not self.signals:
+            return ()
+        return (
+            tuple(sorted(self._hidden)),
+            *(signal.round_key_extra() for signal in self.signals),
+        )
 
     def _round_key(
         self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
@@ -482,95 +637,6 @@ class EvaScheduler(Scheduler):
     def full_adoption_fraction(self) -> float:
         """Fraction of ensemble decisions adopting Full Reconfig (Fig. 5a)."""
         return self.policy.full_adoption_fraction()
-
-    def with_config(self, **overrides) -> "EvaScheduler":
-        """A fresh scheduler with configuration overrides (for sweeps)."""
-        return EvaScheduler(
-            catalog=self.catalog,
-            config=replace(self.config, **overrides),
-            delay_model=self.delay_model,
-        )
-
-
-class EvictionAwareEvaScheduler(EvaScheduler):
-    """Eva extended to react to spot eviction notices (§7 extension).
-
-    A protocol-native policy: it consumes
-    :class:`~repro.core.protocol.SpotEvictionNotice` observations through
-    the :meth:`observe` hook and treats noticed instances as *doomed* —
-    they are hidden from the packing snapshot, so their tasks are
-    re-placed (migrated with their checkpointed progress intact, while
-    the instance is still up) and the doomed instances are terminated
-    ahead of the market reclaiming them.  Compared to riding out the
-    preemption, tasks skip the queued-until-next-round gap and the
-    cluster stops paying for capacity it is about to lose.
-
-    Without notices (``SpotConfig.notice_s == 0``, or on-demand runs)
-    no :meth:`observe` call ever records one, and the policy is
-    behaviourally identical to :class:`EvaScheduler`.
-    """
-
-    def __init__(
-        self,
-        catalog: Sequence[InstanceType],
-        config: EvaConfig | None = None,
-        delay_model: DelayModel | None = None,
-        name: str | None = None,
-    ):
-        super().__init__(
-            catalog,
-            config=config,
-            delay_model=delay_model,
-            name=name or "Eva-Eviction-Aware",
-        )
-        #: instance id -> promised eviction time, pruned against each
-        #: snapshot (a notice may outlive its instance).
-        self._eviction_notices: dict[str, float] = {}
-
-    def observe(self, observations: tuple[Observation, ...]) -> None:
-        super().observe(observations)
-        for obs in observations:
-            if isinstance(obs, SpotEvictionNotice):
-                self._eviction_notices[obs.instance_id] = obs.eviction_time_s
-
-    def _pre_schedule(self, snapshot: ClusterSnapshot) -> None:
-        live_ids = {state.instance_id for state in snapshot.instances}
-        self._eviction_notices = {
-            iid: t for iid, t in self._eviction_notices.items() if iid in live_ids
-        }
-        super()._pre_schedule(snapshot)
-
-    def _packing_snapshot(self, snapshot: ClusterSnapshot) -> ClusterSnapshot:
-        if self._eviction_notices:
-            return self._without_doomed(snapshot)
-        return snapshot
-
-    def _round_key_extra(self) -> tuple:
-        # A doomed instance changes the decision (drain + terminate)
-        # even though the packing snapshot hides it, so pending notices
-        # must partition the memo.
-        return tuple(sorted(self._eviction_notices.items()))
-
-    def _without_doomed(self, snapshot: ClusterSnapshot) -> ClusterSnapshot:
-        """The snapshot with doomed instances hidden from packing.
-
-        Their tasks become unassigned (re-placed by partial reconfig,
-        repacked from scratch by full reconfig) and
-        ``match_existing_instances`` cannot keep a doomed id, so the
-        planned decision migrates the tasks off and terminates the
-        instance — the drain emerges from the ordinary packing path.
-        """
-        doomed = self._eviction_notices
-        return ClusterSnapshot(
-            time_s=snapshot.time_s,
-            tasks=snapshot.tasks,
-            jobs=snapshot.jobs,
-            instances=tuple(
-                state
-                for state in snapshot.instances
-                if state.instance_id not in doomed
-            ),
-        )
 
 
 def make_eva_variant(

@@ -2,9 +2,8 @@
 
 Sweeps the deadline *tightness* (the slack factor between a job's
 standalone duration and its SLO) over a deadline-bearing synthetic trace
-and compares plain Eva against
-:class:`~repro.core.deadline.DeadlineAwareEvaScheduler`, the
-protocol-native policy that consumes
+and compares plain Eva against ``eva-deadline``: Eva with the
+:class:`~repro.core.deadline.DeadlineUrgency` signal, which consumes
 :class:`~repro.core.protocol.DeadlineApproaching` observations and
 escalates an at-risk job's reservation-price degradation charge so
 Algorithm 1 un-packs it.  No-Packing rides along as the

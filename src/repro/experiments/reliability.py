@@ -2,9 +2,8 @@
 
 Sweeps the *fault intensity* (the per-instance crash hazard, with
 correlated domain shocks and stragglers scaled along) over a synthetic
-trace and compares plain Eva against
-:class:`~repro.core.failure.FailureAwareEvaScheduler`, the
-protocol-native policy that consumes
+trace and compares plain Eva against ``eva-failure``: Eva with the
+:class:`~repro.core.failure.FailureHazard` signal, which consumes
 :class:`~repro.core.protocol.InstanceFailed` /
 :class:`~repro.core.protocol.StragglerReport` observations, maintains
 per-domain empirical hazard estimates, and escalates a struck job's

@@ -1,11 +1,11 @@
 """Spot eviction notices — the protocol-native scenario family (§7).
 
 Sweeps the spot market's advance-warning window (``SpotConfig.notice_s``)
-and compares plain Eva against :class:`~repro.core.scheduler.EvictionAwareEvaScheduler`,
-the protocol-native policy that consumes
-:class:`~repro.core.protocol.SpotEvictionNotice` observations and drains
-doomed instances before the market reclaims them.  No-Packing rides along
-as the cost-normalization baseline.
+and compares plain Eva against ``eva-eviction-aware``: Eva with the
+:class:`~repro.core.scheduler.EvictionNotices` signal, which consumes
+:class:`~repro.core.protocol.SpotEvictionNotice` observations and hides
+doomed instances from packing, so they drain before the market reclaims
+them.  No-Packing rides along as the cost-normalization baseline.
 
 Expected shape: at ``notice=0`` the two Eva variants are *identical*
 (no notices are ever emitted — a built-in sanity row); with a notice

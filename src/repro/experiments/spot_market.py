@@ -2,8 +2,8 @@
 
 Sweeps the spot market's price *volatility* (the random-walk step of the
 pool price processes in :mod:`repro.cloud.market`) and compares plain
-Eva against :class:`~repro.core.market.MarketAwareEvaScheduler`, the
-protocol-native policy that consumes
+Eva against ``eva-market``: Eva with the
+:class:`~repro.core.market.MarketPrices` signal, which consumes
 :class:`~repro.core.protocol.PriceChanged` /
 :class:`~repro.core.protocol.PoolExhausted` /
 :class:`~repro.core.protocol.SpotEvictionNotice` observations to track

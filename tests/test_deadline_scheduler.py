@@ -1,4 +1,4 @@
-"""DeadlineAwareEvaScheduler behaviour: the deadline-SLO policy surface.
+"""The deadline-SLO policy surface: Eva with the ``DeadlineUrgency`` signal.
 
 Covers the end-to-end rescue (Eva misses a deadline that Eva-Deadline
 meets at bounded extra cost), the declared action vocabulary, native
@@ -20,11 +20,7 @@ from repro.cluster.resources import ResourceVector
 from repro.cluster.state import ClusterSnapshot
 from repro.cluster.task import make_job
 from repro.core import make_scheduler
-from repro.core.deadline import (
-    DeadlineAwareEvaScheduler,
-    DeadlineConfig,
-    DeadlineTNRPEvaluator,
-)
+from repro.core.deadline import DeadlineUrgency
 from repro.core.evaluation import TNRPEvaluator
 from repro.core.protocol import (
     AssignTask,
@@ -34,13 +30,19 @@ from repro.core.protocol import (
     TerminateInstance,
     replay_decision,
 )
-from repro.core.scheduler import EvaConfig, EvaScheduler
+from repro.core.scheduler import MAX_URGENCY, EvaConfig, EvaScheduler
 from repro.sim.simulator import run_simulation
 from repro.workloads.synthetic import synthetic_trace
 from repro.workloads.trace import Trace, sort_jobs_by_arrival
 from repro.workloads.workloads import workload
 
 ALWAYS = 7 * 24 * 3600.0  # warning horizon covering any trace
+
+
+def _deadline_aware(catalog, **kwargs):
+    """Eva with a deadline signal, and the signal."""
+    signal = DeadlineUrgency()
+    return EvaScheduler(catalog, signals=[signal], **kwargs), signal
 
 
 def _rescue_trace() -> Trace:
@@ -93,23 +95,23 @@ class TestEndToEndRescue:
 
     def test_urgency_engaged_during_rescue(self, catalog):
         scheduler = make_scheduler("eva-deadline", catalog)
+        (signal,) = scheduler.signals
         seen: list[dict] = []
-        original = scheduler._compute_urgency
+        original = signal._compute_urgency
 
         def spy(snapshot):
             urgency = original(snapshot)
             seen.append(urgency)
             return urgency
 
-        scheduler._compute_urgency = spy
+        signal._compute_urgency = spy
         run_simulation(
             _rescue_trace(), scheduler, deadline_warning_s=ALWAYS
         )
         engaged = [u for u in seen if u]
         assert engaged, "urgency never escalated during the rescue"
         assert all(set(u) == {"dl-1"} for u in engaged)
-        assert all(1.0 < m <= scheduler.deadline_config.max_urgency
-                   for u in engaged for m in u.values())
+        assert all(1.0 < m <= MAX_URGENCY for u in engaged for m in u.values())
 
 
 class TestObservationChannel:
@@ -134,14 +136,14 @@ class TestObservationChannel:
         assert aware.total_cost == eva.total_cost
 
     def test_observe_records_and_prunes_deadlines(self, catalog):
-        scheduler = DeadlineAwareEvaScheduler(catalog)
+        scheduler, signal = _deadline_aware(catalog)
         scheduler.observe(
             (
                 DeadlineApproaching(job_id="gone", deadline_s=100.0),
                 DeadlineApproaching(job_id="live", deadline_s=7200.0),
             )
         )
-        assert scheduler._deadlines == {"gone": 100.0, "live": 7200.0}
+        assert signal._deadlines == {"gone": 100.0, "live": 7200.0}
         job = make_job(
             "GPT2",
             {"*": ResourceVector(1, 4, 10)},
@@ -155,8 +157,8 @@ class TestObservationChannel:
             instances=(),
         )
         scheduler.schedule(snapshot)
-        assert "gone" not in scheduler._deadlines  # pruned against snapshot
-        assert "live" in scheduler._deadlines
+        assert "gone" not in signal._deadlines  # pruned against snapshot
+        assert "live" in signal._deadlines
 
     def test_direct_schedule_without_observations_matches_eva(self, catalog):
         """Legacy direct schedule() callers get plain Eva decisions."""
@@ -166,7 +168,7 @@ class TestObservationChannel:
         snapshot = ClusterSnapshot(
             time_s=0.0, tasks=tasks, jobs=job_map, instances=()
         )
-        aware = DeadlineAwareEvaScheduler(catalog)
+        aware, signal = _deadline_aware(catalog)
         eva = EvaScheduler(catalog)
 
         def shape(target):
@@ -178,12 +180,12 @@ class TestObservationChannel:
             )
 
         assert shape(aware.schedule(snapshot)) == shape(eva.schedule(snapshot))
-        assert aware.last_urgency == {}
+        assert signal.urgency == {}
 
 
 class TestVocabularyAndReplay:
     def test_action_vocabulary_is_evas(self, catalog):
-        scheduler = DeadlineAwareEvaScheduler(catalog)
+        scheduler = make_scheduler("eva-deadline", catalog)
         assert scheduler.action_types == EvaScheduler.action_types
         assert scheduler.action_types == frozenset(
             {LaunchInstance, AssignTask, MigrateTask, TerminateInstance}
@@ -304,22 +306,12 @@ class TestNoDeadlinePath:
 
 
 class TestConfigAndEvaluator:
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_urgency"):
-            DeadlineConfig(max_urgency=0.5)
-        with pytest.raises(ValueError, match="risk_tput"):
-            DeadlineConfig(risk_tput=1.5)
-        with pytest.raises(ValueError, match="reconfig_headroom_s"):
-            DeadlineConfig(reconfig_headroom_s=-1.0)
-
     def test_requires_interference_awareness(self, catalog):
         with pytest.raises(ValueError, match="interference_aware"):
-            DeadlineAwareEvaScheduler(
-                catalog, config=EvaConfig(interference_aware=False)
-            )
+            _deadline_aware(catalog, config=EvaConfig(interference_aware=False))
 
     def test_urgency_evaluator_matches_stock_when_not_urgent(self, catalog):
-        scheduler = DeadlineAwareEvaScheduler(catalog)
+        scheduler = EvaScheduler(catalog)
         job = make_job(
             "GPT2", {"*": ResourceVector(1, 4, 10)}, duration_hours=1.0
         )
@@ -327,7 +319,7 @@ class TestConfigAndEvaluator:
         stock = TNRPEvaluator(
             calculator=scheduler.rp_calculator, table=scheduler.monitor.table
         )
-        urgent = DeadlineTNRPEvaluator(
+        urgent = TNRPEvaluator(
             calculator=scheduler.rp_calculator,
             table=scheduler.monitor.table,
             urgency={"other-job": 8.0},
@@ -338,13 +330,13 @@ class TestConfigAndEvaluator:
             )
 
     def test_urgency_scales_degradation_charge_only(self, catalog):
-        scheduler = DeadlineAwareEvaScheduler(catalog)
+        scheduler = EvaScheduler(catalog)
         job = make_job(
             "GPT2", {"*": ResourceVector(1, 4, 10)}, duration_hours=1.0
         )
         task = job.tasks[0]
         u = 8.0
-        evaluator = DeadlineTNRPEvaluator(
+        evaluator = TNRPEvaluator(
             calculator=scheduler.rp_calculator,
             table=scheduler.monitor.table,
             urgency={job.job_id: u},
@@ -368,7 +360,7 @@ class TestConfigAndEvaluator:
     def test_lost_causes_are_abandoned(self, catalog):
         """A deadline that full-throughput execution cannot meet gets no
         escalation — the policy spends nothing on a guaranteed miss."""
-        scheduler = DeadlineAwareEvaScheduler(catalog)
+        scheduler, signal = _deadline_aware(catalog)
         job = make_job(
             "GPT2",
             {"*": ResourceVector(1, 4, 10)},
@@ -386,10 +378,10 @@ class TestConfigAndEvaluator:
             (DeadlineApproaching(job_id="doomed", deadline_s=3600.0),)
         )
         scheduler.schedule(snapshot)
-        assert scheduler.last_urgency == {}
+        assert signal.urgency == {}
 
     def test_inside_headroom_saturates(self, catalog):
-        scheduler = DeadlineAwareEvaScheduler(catalog)
+        scheduler, signal = _deadline_aware(catalog)
         job = make_job(
             "GPT2",
             {"*": ResourceVector(1, 4, 10)},
@@ -408,9 +400,7 @@ class TestConfigAndEvaluator:
             (DeadlineApproaching(job_id="tight", deadline_s=500.0),)
         )
         scheduler.schedule(snapshot)
-        assert scheduler.last_urgency == {
-            "tight": scheduler.deadline_config.max_urgency
-        }
+        assert signal.urgency == {"tight": MAX_URGENCY}
 
 
 class TestDeadlineSloExperiment:

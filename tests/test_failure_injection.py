@@ -28,9 +28,10 @@ from repro.cloud.catalog import ec2_catalog
 from repro.cluster.instance import fresh_instance
 from repro.cluster.state import ClusterSnapshot, InstanceState
 from repro.core import make_scheduler
-from repro.core.failure import FailureAwareConfig, FailureAwareEvaScheduler
+from repro.core.failure import FailureHazard
 from repro.core.interfaces import Scheduler
 from repro.core.protocol import InstanceFailed, StragglerReport
+from repro.core.scheduler import EvaConfig, EvaScheduler
 from repro.sim.batch import Scenario, TraceSpec
 from repro.sim.simulator import (
     ClusterSimulator,
@@ -139,18 +140,18 @@ class TestDisabledByteIdentity:
         # Same display name so the only possible pickle difference is
         # behavioural (the result embeds the scheduler name).
         eva_failure = run_simulation(
-            trace, FailureAwareEvaScheduler(catalog, name="Eva")
+            trace, EvaScheduler(catalog, name="Eva", signals=[FailureHazard()])
         )
         assert pickle.dumps(eva, protocol=5) == pickle.dumps(
             eva_failure, protocol=5
         )
 
     def test_failure_aware_requires_tnrp(self, catalog):
-        from repro.core.scheduler import EvaConfig
-
         with pytest.raises(ValueError, match="interference_aware"):
-            FailureAwareEvaScheduler(
-                ec2_catalog(), config=EvaConfig(interference_aware=False)
+            EvaScheduler(
+                ec2_catalog(),
+                config=EvaConfig(interference_aware=False),
+                signals=[FailureHazard()],
             )
 
 
@@ -447,14 +448,13 @@ def _snapshot(time_s=0.0, tasks=None, jobs=None, instances=()):
 
 
 class TestFailureAwarePolicy:
-    def _scheduler(self, **kwargs):
-        return FailureAwareEvaScheduler(
-            ec2_catalog(),
-            failure_config=FailureAwareConfig(**kwargs) if kwargs else None,
-        )
+    def _scheduler(self):
+        """Eva with a failure signal, and the signal."""
+        hazard = FailureHazard()
+        return EvaScheduler(ec2_catalog(), signals=[hazard]), hazard
 
     def test_hazard_estimates_come_from_observations_only(self):
-        sched = self._scheduler()
+        sched, hazard = self._scheduler()
         sched.observe(
             (
                 InstanceFailed(instance_id="i-a", time_s=100.0, failure_domain=0),
@@ -463,8 +463,10 @@ class TestFailureAwarePolicy:
             )
         )
         sched.decide(_snapshot(time_s=7200.0))
-        hazard = sched.domain_hazard_per_hour()
-        assert hazard == {0: pytest.approx(1.0), 1: pytest.approx(0.5)}
+        assert hazard.domain_hazard_per_hour() == {
+            0: pytest.approx(1.0),
+            1: pytest.approx(0.5),
+        }
 
     def test_strikes_escalate_urgency_with_domain_weight(self):
         trace = _trace(num_jobs=2, seed=0)
@@ -485,7 +487,7 @@ class TestFailureAwarePolicy:
                 )
             ],
         )
-        sched = self._scheduler(strike_urgency=8.0, max_urgency=64.0)
+        sched, hazard = self._scheduler()
         sched.decide(snap)  # remembers placements
         sched.observe(
             (
@@ -498,7 +500,7 @@ class TestFailureAwarePolicy:
         )
         sched.decide(_snapshot(time_s=7200.0, tasks=tasks, jobs=jobs))
         # One strike, one observed domain → weight 1 → urgency 8.
-        assert sched.last_urgency == {victim_job: pytest.approx(8.0)}
+        assert hazard.urgency == {victim_job: pytest.approx(8.0)}
         # A second strike from the same (now clearly hot) domain
         # compounds: min(64, 8**2 * weight) with weight 2 (two of the
         # domain's failures vs a 1-failure peer domain) caps at 64.
@@ -511,7 +513,7 @@ class TestFailureAwarePolicy:
                 ),
             )
         )
-        sched._last_placements = {"i-x": frozenset({victim_job})}
+        hazard._last_placements = {"i-x": frozenset({victim_job})}
         sched.observe(
             (
                 InstanceFailed(
@@ -520,18 +522,18 @@ class TestFailureAwarePolicy:
             )
         )
         sched.decide(_snapshot(time_s=9000.0, tasks=tasks, jobs=jobs))
-        assert sched.last_urgency == {victim_job: pytest.approx(64.0)}
+        assert hazard.urgency == {victim_job: pytest.approx(64.0)}
 
     def test_strikes_prune_when_job_leaves(self):
-        sched = self._scheduler()
-        sched._strikes["ghost"] = 2
-        sched._strike_domain["ghost"] = 1
+        sched, hazard = self._scheduler()
+        hazard._strikes["ghost"] = 2
+        hazard._strike_domain["ghost"] = 1
         sched.decide(_snapshot(time_s=100.0))
-        assert sched._strikes == {}
-        assert sched.last_urgency == {}
+        assert hazard._strikes == {}
+        assert hazard.urgency == {}
 
     def test_straggler_drain_hides_instances_from_packing(self):
-        sched = self._scheduler()
+        sched, _ = self._scheduler()
         healthy = fresh_instance(ec2_catalog()[0])
         degraded = fresh_instance(ec2_catalog()[0])
         sched.observe(
@@ -565,42 +567,23 @@ class TestFailureAwarePolicy:
                 ),
             )
         )
+        sched._pre_schedule(snap)
         assert sched._packing_snapshot(snap) is snap
-
-    def test_drain_disabled_keeps_stragglers_visible(self):
-        sched = self._scheduler(drain_stragglers=False)
-        degraded = fresh_instance(ec2_catalog()[0])
-        sched.observe(
-            (
-                StragglerReport(
-                    instance_id=degraded.instance_id, time_s=1.0, slowdown=0.5
-                ),
-            )
-        )
-        snap = _snapshot(
-            instances=[InstanceState(instance=degraded, task_ids=frozenset())]
-        )
-        assert sched._packing_snapshot(snap) is snap
-
-    def test_policy_config_validated(self):
-        with pytest.raises(ValueError):
-            FailureAwareConfig(strike_urgency=0.5)
-        with pytest.raises(ValueError):
-            FailureAwareConfig(strike_urgency=8.0, max_urgency=4.0)
 
     def test_end_to_end_reacts_to_failures(self, catalog):
         """Under a hostile regime the policy actually engages: it sees
         failures, builds hazard estimates, and charges urgency."""
 
-        class _Probe(FailureAwareEvaScheduler):
+        class _Probe(FailureHazard):
             engaged = False
 
-            def _pre_schedule(self, snapshot):
-                super()._pre_schedule(snapshot)
-                if self.last_urgency:
+            def pre_round(self, snapshot):
+                super().pre_round(snapshot)
+                if self.urgency:
                     _Probe.engaged = True
 
-        sched = _Probe(ec2_catalog())
+        hazard = _Probe()
+        sched = EvaScheduler(ec2_catalog(), signals=[hazard])
         result = run_simulation(
             _trace(num_jobs=14, seed=9),
             sched,
@@ -613,7 +596,7 @@ class TestFailureAwarePolicy:
             validate=True,
         )
         assert result.instance_failures > 0
-        assert sched._total_failures == result.instance_failures
+        assert hazard._total_failures == result.instance_failures
         assert _Probe.engaged, "urgency never charged despite failures"
 
 

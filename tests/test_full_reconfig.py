@@ -9,7 +9,6 @@ from repro.cluster.resources import ResourceVector
 from repro.cluster.state import tasks_fit_on_type
 from repro.cluster.task import make_job
 from repro.core import full_reconfig, partial_reconfig
-from repro.core.deadline import DeadlineTNRPEvaluator
 from repro.core.evaluation import RPEvaluator, TNRPEvaluator
 from repro.core.full_reconfig import (
     _ArgmaxScan,
@@ -423,7 +422,7 @@ def _evaluator(kind, calc, table, jobs, urgency):
         return RPEvaluator(calc)
     if kind.startswith("tnrp"):
         return TNRPEvaluator(calc, table, jobs=jobs)
-    return DeadlineTNRPEvaluator(calc, table, jobs=jobs, urgency=urgency)
+    return TNRPEvaluator(calc, table, jobs=jobs, urgency=urgency)
 
 
 _WORKLOADS = st.sampled_from(["wa", "wb", "wc", "wd"])

@@ -40,7 +40,7 @@ from repro.core.protocol import (
     replay_decision,
     throughput_reports,
 )
-from repro.core.scheduler import EvaScheduler, EvictionAwareEvaScheduler
+from repro.core.scheduler import EvaScheduler, EvictionNotices
 from repro.sim.simulator import ClusterSimulator, SpotConfig, run_simulation
 from repro.workloads.synthetic import synthetic_trace
 
@@ -464,11 +464,13 @@ class TestEvictionAwareScheduler:
         assert noticed.migrations > blind.migrations
 
     def test_notices_pruned_against_snapshot(self, catalog, two_jobs):
-        scheduler = EvictionAwareEvaScheduler(catalog)
+        notices = EvictionNotices()
+        scheduler = EvaScheduler(catalog, signals=[notices])
         scheduler.observe((SpotEvictionNotice("i-gone", 500.0),))
+        assert notices.hidden == {"i-gone"}
         snapshot = _snapshot_with(catalog, two_jobs, [])
         scheduler.schedule(snapshot)
-        assert scheduler._eviction_notices == {}
+        assert notices.hidden == frozenset()
 
 
 class TestSimulatorObservations:

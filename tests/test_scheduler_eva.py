@@ -51,12 +51,6 @@ class TestConfig:
         with pytest.raises(KeyError):
             make_eva_variant(catalog, "eva-turbo")
 
-    def test_with_config_override(self, catalog):
-        base = EvaScheduler(catalog)
-        derived = base.with_config(interference_aware=False)
-        assert derived.config.interference_aware is False
-        assert base.config.interference_aware is True
-
 
 class TestScheduling:
     def test_places_all_tasks_validly(self, example_catalog):

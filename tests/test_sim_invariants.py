@@ -30,7 +30,7 @@ from repro.cloud.market import CreditModel, MarketConfig, MarketPool
 from repro.cloud.provider import SimulatedCloud
 from repro.cluster.resources import RESOURCE_NAMES
 from repro.cluster.state import tasks_fit_on_type
-from repro.core import make_scheduler
+from repro.core import EvaScheduler, make_scheduler, scheduler_names
 from repro.core.interfaces import Scheduler
 from repro.core.protocol import (
     AssignTask,
@@ -584,6 +584,22 @@ def _fuzz_scenario(seed: int) -> Scenario:
     )
 
 
+def _simulate(
+    scenario: Scenario, scheduler: Scheduler, sim_cls=ClusterSimulator
+) -> SimulationResult:
+    """Run ``scenario``'s trace and environment under ``scheduler``."""
+    sim = sim_cls(
+        trace=scenario.trace.build(default_seed=scenario.seed),
+        scheduler=scheduler,
+        period_s=scenario.period_s,
+        spot=scenario.spot,
+        deadline_warning_s=scenario.deadline_warning_s,
+        failures=scenario.failures,
+        market=scenario.market,
+    )
+    return sim.run()
+
+
 class _NaiveSLOSimulator(ClusterSimulator):
     """Recomputes the SLO aggregates from scratch on every accounting step.
 
@@ -661,19 +677,10 @@ class TestFuzzedScenarioInvariants:
         self, seed, catalog
     ):
         scenario = _fuzz_scenario(seed)
-        trace = scenario.trace.build(default_seed=scenario.seed)
-        results = []
-        for sim_cls in (ClusterSimulator, _NaiveSLOSimulator):
-            sim = sim_cls(
-                trace=trace,
-                scheduler=make_scheduler(scenario.scheduler, catalog),
-                period_s=scenario.period_s,
-                spot=scenario.spot,
-                deadline_warning_s=scenario.deadline_warning_s,
-                failures=scenario.failures,
-                market=scenario.market,
-            )
-            results.append(sim.run())
+        results = [
+            _simulate(scenario, make_scheduler(scenario.scheduler, catalog), cls)
+            for cls in (ClusterSimulator, _NaiveSLOSimulator)
+        ]
         assert pickle.dumps(results[0]) == pickle.dumps(results[1])
 
     @pytest.mark.parametrize("seed", [1, 5, 9, 14])
@@ -681,19 +688,10 @@ class TestFuzzedScenarioInvariants:
         self, seed, catalog
     ):
         scenario = _fuzz_scenario(seed)
-        trace = scenario.trace.build(default_seed=scenario.seed)
-        results = []
-        for sim_cls in (ClusterSimulator, _NaiveFailureSimulator):
-            sim = sim_cls(
-                trace=trace,
-                scheduler=make_scheduler(scenario.scheduler, catalog),
-                period_s=scenario.period_s,
-                spot=scenario.spot,
-                deadline_warning_s=scenario.deadline_warning_s,
-                failures=scenario.failures,
-                market=scenario.market,
-            )
-            results.append(sim.run())
+        results = [
+            _simulate(scenario, make_scheduler(scenario.scheduler, catalog), cls)
+            for cls in (ClusterSimulator, _NaiveFailureSimulator)
+        ]
         assert pickle.dumps(results[0]) == pickle.dumps(results[1])
 
     def test_fuzz_space_actually_covers_deadlines_and_schedulers(self):
@@ -745,29 +743,21 @@ class TestReferenceScanByteIdentity:
     stock ``_ArgmaxScan`` run — the scan's memos are mechanism only,
     never policy."""
 
-    # Fuzz cases whose scheduler runs Algorithm 1: eva, the
-    # eviction-aware (hazard) evaluator, eva-failure, eva-deadline
-    # (urgency) and eva-market.
+    # Fuzz cases whose scheduler runs Algorithm 1: eva,
+    # eva-eviction-aware, eva-failure, eva-deadline (urgency) and
+    # eva-market.
     @pytest.mark.parametrize("seed", [0, 1, 2, 6, 13, 17])
     def test_fuzzed_scenarios_identical_to_reference_scan(
         self, seed, monkeypatch
     ):
         scenario = _fuzz_scenario(seed)
-        trace = scenario.trace.build(default_seed=scenario.seed)
         catalog = ec2_catalog()
         results = []
         for reference in (False, True):
             built = use_reference_scan(monkeypatch) if reference else []
-            sim = ClusterSimulator(
-                trace=trace,
-                scheduler=make_scheduler(scenario.scheduler, catalog),
-                period_s=scenario.period_s,
-                spot=scenario.spot,
-                deadline_warning_s=scenario.deadline_warning_s,
-                failures=scenario.failures,
-                market=scenario.market,
+            results.append(
+                _simulate(scenario, make_scheduler(scenario.scheduler, catalog))
             )
-            results.append(sim.run())
             assert bool(built) == reference
         assert pickle.dumps(results[0]) == pickle.dumps(results[1])
 
@@ -791,6 +781,31 @@ class TestReferenceScanByteIdentity:
             results.append(sim.run())
             assert bool(built) == reference
         assert pickle.dumps(results[0]) == pickle.dumps(results[1])
+
+
+#: Every registry preset built on EvaScheduler (variants and signals).
+_EVA_PRESETS = tuple(
+    name
+    for name in scheduler_names()
+    if isinstance(make_scheduler(name, ec2_catalog()), EvaScheduler)
+)
+
+
+class TestRoundMemoOracle:
+    """The round memo is mechanism only: with it switched off, every Eva
+    preset must produce a byte-identical result on every fuzz case."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("preset", _EVA_PRESETS)
+    def test_memo_free_run_is_identical(self, preset, seed, catalog):
+        scenario = _fuzz_scenario(seed)
+        memoized = make_scheduler(preset, catalog)
+        reference = make_scheduler(preset, catalog)
+        reference._round_memo = None
+        assert memoized._round_memo is not None
+        assert pickle.dumps(_simulate(scenario, memoized)) == pickle.dumps(
+            _simulate(scenario, reference)
+        )
 
 
 class TestAllocationIntegrator:

@@ -2,8 +2,8 @@
 
 Covers the market subsystem end to end:
 
-* config validation (``MarketPool``/``MarketConfig``/``CreditModel``/
-  ``MarketPolicyConfig`` reject NaN/inf and out-of-range knobs);
+* config validation (``MarketPool``/``MarketConfig``/``CreditModel``
+  reject NaN/inf and out-of-range knobs);
 * the seeded price process — deterministic, quantized, clamped, and
   replayable from explicit traces or CSV files;
 * byte-identity with the market unset, disabled, or fully static (the
@@ -41,12 +41,17 @@ from repro.cluster.instance import InstanceType
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import ClusterSnapshot
 from repro.core import make_scheduler
-from repro.core.market import MarketAwareEvaScheduler, MarketPolicyConfig
+from repro.core.market import (
+    STORM_COOLDOWN_S,
+    STORM_THRESHOLD,
+    MarketPrices,
+)
 from repro.core.protocol import (
     PoolExhausted,
     PriceChanged,
     SpotEvictionNotice,
 )
+from repro.core.scheduler import EvaScheduler
 from repro.sim.batch import Scenario, TraceSpec, reseed, run_batch
 from repro.sim.simulator import SpotConfig, run_simulation
 from repro.workloads.synthetic import synthetic_trace
@@ -129,16 +134,6 @@ class TestConfigValidation:
             CreditModel(initial_credit_s=-1.0)
         model = CreditModel(initial_credit_s=1800.0, accrual_fraction=0.25)
         assert model.exhaustion_horizon_s == pytest.approx(2400.0)
-
-    def test_policy_config_validated(self):
-        with pytest.raises(ValueError):
-            MarketPolicyConfig(bid_ceiling=0.5)
-        with pytest.raises(ValueError):
-            MarketPolicyConfig(storm_threshold=0)
-        with pytest.raises(ValueError):
-            MarketPolicyConfig(storm_window_s=0.0)
-        with pytest.raises(ValueError):
-            MarketPolicyConfig(exhaust_penalty=0.9)
 
     def test_runtime_requires_active_config(self):
         with pytest.raises(ValueError):
@@ -251,7 +246,7 @@ class TestByteIdentity:
         catalog = ec2_catalog()
         eva = run_simulation(trace, make_scheduler("eva", catalog))
         market = run_simulation(
-            trace, MarketAwareEvaScheduler(catalog, name="Eva")
+            trace, EvaScheduler(catalog, name="Eva", signals=[MarketPrices()])
         )
         assert pickle.dumps(market, protocol=5) == pickle.dumps(eva, protocol=5)
 
@@ -406,14 +401,13 @@ def _snapshot(time_s=0.0):
 
 
 class TestMarketAwarePolicy:
-    def _scheduler(self, **kwargs):
-        return MarketAwareEvaScheduler(
-            ec2_catalog(),
-            market_config=MarketPolicyConfig(**kwargs) if kwargs else None,
-        )
+    def _scheduler(self):
+        """Eva with a market signal, and the signal."""
+        market = MarketPrices()
+        return EvaScheduler(ec2_catalog(), signals=[market]), market
 
     def test_prices_come_from_observations_only(self):
-        sched = self._scheduler()
+        sched, market = self._scheduler()
         sched.observe(
             (
                 PriceChanged(
@@ -424,14 +418,14 @@ class TestMarketAwarePolicy:
         )
         sched._pre_schedule(_snapshot(900.0))
         repriced = {it.name: it for it in sched.catalog}
-        stock = {it.name: it for it in sched._stock_catalog}
+        stock = {it.name: it for it in market._stock_catalog}
         for name, itype in stock.items():
             expected = itype.hourly_cost * (1.4 if itype.family == "c7i" else 1.0)
             assert repriced[name].hourly_cost == pytest.approx(expected)
-        assert sched.rp_calculator is not sched._stock_calculator
+        assert sched.rp_calculator is not sched._stock_level[1]
 
     def test_par_price_restores_stock_objects(self):
-        sched = self._scheduler()
+        sched, _ = self._scheduler()
         sched.observe(
             (
                 PriceChanged(
@@ -450,11 +444,12 @@ class TestMarketAwarePolicy:
             )
         )
         sched._pre_schedule(_snapshot(1500.0))
-        assert sched.catalog is sched._stock_catalog
-        assert sched.rp_calculator is sched._stock_calculator
+        assert (sched.catalog, sched.rp_calculator, sched._tnrp_caches) == (
+            sched._stock_level
+        )
 
     def test_bid_ceiling_drops_covered_family_only(self):
-        sched = self._scheduler(bid_ceiling=1.5)
+        sched, market = self._scheduler()
         sched.observe(
             (
                 PriceChanged(
@@ -474,33 +469,36 @@ class TestMarketAwarePolicy:
         assert "c7i" not in families
         assert "p3" in families
         p3 = next(it for it in sched.catalog if it.family == "p3")
-        stock_p3 = next(it for it in sched._stock_catalog if it.name == p3.name)
+        stock_p3 = next(it for it in market._stock_catalog if it.name == p3.name)
         assert p3.hourly_cost == pytest.approx(2.0 * stock_p3.hourly_cost)
 
     def test_eviction_storm_flips_use_spot_then_recovers(self):
-        sched = self._scheduler(
-            storm_threshold=3, storm_window_s=900.0, storm_cooldown_s=600.0
-        )
+        sched, _ = self._scheduler()
         notices = tuple(
             SpotEvictionNotice(instance_id=f"i-{k}", eviction_time_s=1000.0 + k)
-            for k in range(3)
+            for k in range(STORM_THRESHOLD)
         )
-        sched.observe(notices)
+        sched.observe(notices[:-1])
+        sched._pre_schedule(_snapshot(1100.0))
+        assert sched.use_spot is True  # one notice short of a storm
+        sched.observe(notices[-1:])
         sched._pre_schedule(_snapshot(1100.0))
         assert sched.use_spot is False
-        sched._pre_schedule(_snapshot(1100.0 + 601.0))
+        sched._pre_schedule(_snapshot(1100.0 + STORM_COOLDOWN_S - 1.0))
+        assert sched.use_spot is False
+        sched._pre_schedule(_snapshot(1100.0 + STORM_COOLDOWN_S))
         assert sched.use_spot is True
 
     def test_exhaust_penalty_lasts_one_round(self):
-        sched = self._scheduler(exhaust_penalty=1.5)
+        sched, market = self._scheduler()
         sched.observe(
             (PoolExhausted(pool="tiny", time_s=0.0, families=("c7i",)),)
         )
         sched._pre_schedule(_snapshot(300.0))
-        assert sched._effective == {"c7i": 1.5}
+        assert market._effective == {"c7i": 1.5}
         sched._pre_schedule(_snapshot(600.0))
-        assert sched._effective == {}
-        assert sched.catalog is sched._stock_catalog
+        assert market._effective == {}
+        assert sched.catalog is market._stock_catalog
 
     def test_end_to_end_beats_blind_eva_on_volatile_market(self):
         """The acceptance shape at miniature scale: same volatile

@@ -266,9 +266,13 @@ class TestActionVocabulary:
 
 
 class TestObservationPurity:
-    def test_positive_deadline_sniffing(self) -> None:
-        source = _SCHEDULER_PREAMBLE + """
-        class Sniffer(Scheduler):
+    @pytest.mark.parametrize("base", ["Scheduler", "Signal"])
+    def test_positive_deadline_sniffing(self, base) -> None:
+        source = _SCHEDULER_PREAMBLE + f"""
+        class Signal:
+            pass
+
+        class Sniffer({base}):
             def decide(self, snapshot, observations):
                 for job in snapshot.jobs:
                     if job.deadline_hours is not None:
