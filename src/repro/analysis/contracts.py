@@ -22,11 +22,11 @@ gives every scheduler a declared surface:
   replayable from the recorded observation stream alone.
 
 Both rules work from the project-wide class index built by the shared
-visitor pass, resolving inheritance by class name: a class is a
-scheduler iff its base-name chain reaches ``Scheduler`` (a policy iff it
-reaches ``Scheduler`` or ``Signal``), and its effective vocabulary is
-the nearest ``action_types`` declaration up that chain (``None``
-anywhere means unrestricted).
+visitor pass, resolving inheritance by class name: a class is policy
+code iff its base-name chain reaches ``Scheduler`` or ``Signal``, and
+its effective vocabulary is the nearest ``action_types`` declaration up
+that chain (``None`` anywhere means unrestricted; a signal declares
+none, so only schedulers have a vocabulary to check).
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ __all__ = [
     "check_observation_purity",
 ]
 
-#: The scheduler ABC; subclassing (transitively) makes a class subject
-#: to both contract rules.
-_SCHEDULER_ROOTS = frozenset({"Scheduler"})
-
-#: Roots of policy code, subject to observation purity: schedulers and
-#: the signals Eva composes.
-_POLICY_ROOTS = _SCHEDULER_ROOTS | {"Signal"}
+#: Roots of policy code — the scheduler ABC and the signal base Eva
+#: composes; subclassing either (transitively) makes a class subject to
+#: both contract rules.
+_POLICY_ROOTS = frozenset({"Scheduler", "Signal"})
 
 #: Snapshot attributes reserved for the observation channel, mapped to
 #: the observation that carries the information.
@@ -90,25 +87,19 @@ class ClassIndex:
                     queue.append(entry[0])
         return chain
 
-    def _reaches(self, cls: ClassFacts, roots: frozenset[str]) -> bool:
-        if cls.name in roots:
+    def is_policy(self, cls: ClassFacts) -> bool:
+        if cls.name in _POLICY_ROOTS:
             return False  # the roots themselves are protocol code
         chain = self._base_chain(cls)
-        if any(c.name in roots for c in chain):
+        if any(c.name in _POLICY_ROOTS for c in chain):
             return True
         # A root may live outside the scanned tree; fall back to the
         # base *names* appearing anywhere in the chain.
         return any(
-            base.rsplit(".", maxsplit=1)[-1] in roots
+            base.rsplit(".", maxsplit=1)[-1] in _POLICY_ROOTS
             for c in chain
             for base in c.base_names
         )
-
-    def is_scheduler(self, cls: ClassFacts) -> bool:
-        return self._reaches(cls, _SCHEDULER_ROOTS)
-
-    def is_policy(self, cls: ClassFacts) -> bool:
-        return self._reaches(cls, _POLICY_ROOTS)
 
     def vocabulary(self, cls: ClassFacts) -> tuple[str, ...] | None:
         """Nearest ``action_types`` declaration up the base chain.
@@ -134,7 +125,7 @@ def check_action_vocabulary(
     """Flag action constructions outside the declared vocabulary."""
     findings: list[Finding] = []
     for cls in facts.classes:
-        if not index.is_scheduler(cls):
+        if not index.is_policy(cls):
             continue
         vocabulary = index.vocabulary(cls)
         if vocabulary is None:

@@ -106,8 +106,6 @@ class MarketPrices(Signal):
         self._notice_times: list[float] = []
         #: Simulation time until which launches stay on-demand.
         self._storm_until = float("-inf")
-        #: Effective family multipliers this round (prices + penalties).
-        self._effective: dict[str, float] = {}
         self._stock_catalog: list[InstanceType] = []
         #: price level key -> cached price level.
         self._price_levels: dict[tuple, PriceLevel] = {}
@@ -151,14 +149,9 @@ class MarketPrices(Signal):
         # Penalties last one round; a still-hot pool re-emits on the
         # next over-capacity launch, re-arming them.
         self._exhausted.clear()
-        self._effective = {f: m for f, m in effective.items() if m != 1.0}
-        self.price_level = self._price_level(self._effective)
-
-    def round_key_extra(self) -> tuple:
-        # The spot flag changes launches without reaching the evaluator,
-        # so it keys the round memo explicitly, next to the multipliers
-        # the price level was built from.
-        return (tuple(sorted(self._effective.items())), self.use_spot)
+        self.price_level = self._price_level(
+            {f: m for f, m in effective.items() if m != 1.0}
+        )
 
     def _price_level(self, effective: dict[str, float]) -> PriceLevel | None:
         """The cached repriced catalog at ``effective``, or None at par."""

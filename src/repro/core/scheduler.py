@@ -177,10 +177,6 @@ class Signal:
     def pre_round(self, snapshot: ClusterSnapshot) -> None:
         """Prune state against ``snapshot`` and publish this round's levers."""
 
-    def round_key_extra(self) -> tuple:
-        """State the round's decision depends on beyond the levers."""
-        return ()
-
 
 class EvictionNotices(Signal):
     """Drain spot instances under an eviction notice (§7 extension).
@@ -427,14 +423,11 @@ class EvaScheduler(Scheduler):
 
         Urgency and prices reach the evaluator's cache token, but a
         hidden instance changes the decision (drain + terminate) even
-        though the packing snapshot no longer shows it.
+        though the packing snapshot no longer shows it.  The spot flag
+        needs no key: it only bills launches, and decisions with actions
+        are never memoized.
         """
-        if not self.signals:
-            return ()
-        return (
-            tuple(sorted(self._hidden)),
-            *(signal.round_key_extra() for signal in self.signals),
-        )
+        return tuple(sorted(self._hidden)) if self._hidden else ()
 
     def _round_key(
         self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator

@@ -42,6 +42,7 @@ from repro.cluster.resources import ResourceVector
 from repro.cluster.state import ClusterSnapshot
 from repro.core import make_scheduler
 from repro.core.market import (
+    EXHAUST_PENALTY,
     STORM_COOLDOWN_S,
     STORM_THRESHOLD,
     MarketPrices,
@@ -426,6 +427,9 @@ class TestMarketAwarePolicy:
 
     def test_par_price_restores_stock_objects(self):
         sched, _ = self._scheduler()
+        catalog, calculator, caches = (
+            sched.catalog, sched.rp_calculator, sched._tnrp_caches
+        )
         sched.observe(
             (
                 PriceChanged(
@@ -435,6 +439,7 @@ class TestMarketAwarePolicy:
             )
         )
         sched._pre_schedule(_snapshot(900.0))
+        assert sched.rp_calculator is not calculator
         sched.observe(
             (
                 PriceChanged(
@@ -444,9 +449,9 @@ class TestMarketAwarePolicy:
             )
         )
         sched._pre_schedule(_snapshot(1500.0))
-        assert (sched.catalog, sched.rp_calculator, sched._tnrp_caches) == (
-            sched._stock_level
-        )
+        assert sched.catalog is catalog
+        assert sched.rp_calculator is calculator
+        assert sched._tnrp_caches is caches
 
     def test_bid_ceiling_drops_covered_family_only(self):
         sched, market = self._scheduler()
@@ -495,9 +500,14 @@ class TestMarketAwarePolicy:
             (PoolExhausted(pool="tiny", time_s=0.0, families=("c7i",)),)
         )
         sched._pre_schedule(_snapshot(300.0))
-        assert market._effective == {"c7i": 1.5}
+        stock = {it.name: it for it in market._stock_catalog}
+        assert {it.name for it in sched.catalog} == set(stock)
+        for itype in sched.catalog:
+            mult = EXHAUST_PENALTY if itype.family == "c7i" else 1.0
+            assert itype.hourly_cost == pytest.approx(
+                mult * stock[itype.name].hourly_cost
+            )
         sched._pre_schedule(_snapshot(600.0))
-        assert market._effective == {}
         assert sched.catalog is market._stock_catalog
 
     def test_end_to_end_beats_blind_eva_on_volatile_market(self):
