@@ -472,6 +472,18 @@ class TestEvictionAwareScheduler:
         scheduler.schedule(snapshot)
         assert notices.hidden == frozenset()
 
+    def test_hidden_instances_key_the_round_memo(self, catalog):
+        """Hiding an instance leaves a packing snapshot equal to a
+        memoized no-op round's, so only the key's hidden ids stop the
+        replay that would skip the drain."""
+        scheduler = EvaScheduler(catalog, signals=[EvictionNotices()])
+        empty = _snapshot_with(catalog, [], [])
+        assert scheduler.decide(empty).actions == ()
+        doomed = _snapshot_with(catalog, [], [("c7i.xlarge", [])])
+        notice = SpotEvictionNotice(doomed.instances[0].instance_id, 500.0)
+        decision = scheduler.decide(doomed, (notice,))
+        assert [type(a) for a in decision.actions] == [TerminateInstance]
+
 
 class TestSimulatorObservations:
     def test_deadline_approaching_emitted(self, catalog):
