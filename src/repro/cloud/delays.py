@@ -116,6 +116,19 @@ class DelayModel:
         """Total delay from launch request until the instance can run tasks."""
         return self.acquisition_s() + self.setup_s()
 
+    def mean_instance_ready_s(self) -> float:
+        """The Table 1 average of :meth:`instance_ready_s`, never sampled.
+
+        A scheduler prices launches with this (§4.5): it cannot know the
+        delay the cloud will draw, and reading ``rng`` here would shift
+        the stream the environment samples its real delays from.  Equal
+        bit for bit to the deterministic :meth:`instance_ready_s`.
+        """
+        return (
+            ACQUISITION_MEAN_S * self.instance_multiplier
+            + SETUP_MEAN_S * self.instance_multiplier
+        )
+
     # -- job-side ---------------------------------------------------------
     def checkpoint_s(self, workload_checkpoint_s: float | None = None) -> float:
         """Delay to stop and checkpoint a task on its source instance."""

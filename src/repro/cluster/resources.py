@@ -10,6 +10,7 @@ the partial order used for feasibility checks (``fits_within``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -37,8 +38,10 @@ class ResourceVector:
     def __post_init__(self) -> None:
         for name in RESOURCE_NAMES:
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"resource {name!r} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"resource {name!r} must be finite and >= 0, got {value}"
+                )
 
     # ------------------------------------------------------------------
     # Construction helpers

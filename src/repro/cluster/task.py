@@ -13,6 +13,7 @@ runtime, keeping scheduling algorithms purely functional over snapshots.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -118,10 +119,21 @@ class Job:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError(f"job {self.job_id} has no tasks")
-        if self.duration_hours <= 0:
-            raise ValueError(f"job {self.job_id} duration must be > 0")
-        if self.deadline_hours is not None and self.deadline_hours <= 0:
-            raise ValueError(f"job {self.job_id} deadline must be > 0")
+        if not 0 < self.duration_hours < math.inf:
+            raise ValueError(
+                f"job {self.job_id} duration must be finite and > 0, "
+                f"got {self.duration_hours}"
+            )
+        if self.deadline_hours is not None and not 0 < self.deadline_hours < math.inf:
+            raise ValueError(
+                f"job {self.job_id} deadline must be finite and > 0, "
+                f"got {self.deadline_hours}"
+            )
+        if not math.isfinite(self.arrival_time_s):
+            raise ValueError(
+                f"job {self.job_id} arrival time must be finite, "
+                f"got {self.arrival_time_s}"
+            )
         for task in self.tasks:
             if task.job_id != self.job_id:
                 raise ValueError(

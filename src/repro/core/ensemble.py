@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.cloud.delays import DelayModel
 from repro.cluster.state import ClusterSnapshot, TargetConfiguration, diff_configuration
@@ -125,8 +124,9 @@ def migration_cost(
     * per migrated/placed task: checkpoint delay billed at the source
       instance's rate (when there is a source) plus launch delay billed at
       the destination's rate;
-    * per newly launched instance: acquisition + setup delay billed at its
-      own rate (paid-but-idle time).
+    * per newly launched instance: the Table 1 average acquisition + setup
+      delay billed at its own rate (paid-but-idle time).  The average,
+      not a sample: pricing must not draw from a stochastic model's RNG.
     """
     delays = delay_model or DelayModel()
     diff = diff_configuration(snapshot, target)
@@ -147,7 +147,7 @@ def migration_cost(
             cost += checkpoint_h * rate_by_id.get(src, 0.0)
         cost += launch_h * rate_by_id.get(dst, 0.0)
 
-    ready_h = delays.instance_ready_s() / 3600.0
+    ready_h = delays.mean_instance_ready_s() / 3600.0
     for ti in diff.launches:
         cost += ready_h * ti.hourly_cost
     return cost
@@ -187,6 +187,25 @@ class EnsemblePolicy:
     def record_events(self, count: int, time_s: float) -> None:
         self.estimator.record_events(count, time_s)
 
+    def weigh(
+        self, s_f: float, s_p: float, m_f: float, m_p: float
+    ) -> ReconfigDecision:
+        """Equation 1 under the current D̂; records nothing."""
+        d_hat = self.estimator.estimated_duration_hours()
+        return ReconfigDecision(
+            adopted_full=s_f * d_hat - m_f > s_p * d_hat - m_p,
+            saving_full=s_f,
+            saving_partial=s_p,
+            migration_full=m_f,
+            migration_partial=m_p,
+            duration_estimate_hours=d_hat,
+        )
+
+    def record(self, decision: ReconfigDecision) -> None:
+        """Log ``decision`` and feed its outcome to the p estimate."""
+        self.history.append(decision)
+        self.estimator.record_decision(decision.adopted_full)
+
     def decide(
         self,
         full: TargetConfiguration,
@@ -195,23 +214,14 @@ class EnsemblePolicy:
         evaluator: AssignmentEvaluator,
     ) -> tuple[TargetConfiguration, ReconfigDecision]:
         """Pick between the two candidates per Equation 1."""
-        d_hat = self.estimator.estimated_duration_hours()
-        s_f = provisioning_saving(full, snapshot, evaluator)
-        s_p = provisioning_saving(partial, snapshot, evaluator)
-        m_f = migration_cost(full, snapshot, self.delay_model)
-        m_p = migration_cost(partial, snapshot, self.delay_model)
-        adopted_full = s_f * d_hat - m_f > s_p * d_hat - m_p
-        decision = ReconfigDecision(
-            adopted_full=adopted_full,
-            saving_full=s_f,
-            saving_partial=s_p,
-            migration_full=m_f,
-            migration_partial=m_p,
-            duration_estimate_hours=d_hat,
+        decision = self.weigh(
+            provisioning_saving(full, snapshot, evaluator),
+            provisioning_saving(partial, snapshot, evaluator),
+            migration_cost(full, snapshot, self.delay_model),
+            migration_cost(partial, snapshot, self.delay_model),
         )
-        self.history.append(decision)
-        self.estimator.record_decision(adopted_full)
-        return (full if adopted_full else partial), decision
+        self.record(decision)
+        return (full if decision.adopted_full else partial), decision
 
     def full_adoption_fraction(self) -> float:
         """Fraction of decisions that adopted Full Reconfiguration (Fig. 5a)."""

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.cluster.instance import Instance, InstanceType, fresh_instance
-from repro.cluster.resources import ResourceVector
 from repro.cluster.task import Task
 from repro.core.evaluation import AssignmentEvaluator
 
@@ -530,15 +529,6 @@ def match_existing_instances(
     return relabelled
 
 
-def instances_by_type(
-    existing: Mapping[str, Sequence[Instance]] | None,
-) -> dict[str, list[Instance]]:
-    """Normalize an optional reusable-instance mapping (helper for callers)."""
-    if existing is None:
-        return {}
-    return {k: list(v) for k, v in existing.items()}
-
-
 def packing_summary(packed: Sequence[PackedInstance]) -> dict[str, float]:
     """Quick aggregate stats used by tests and reports."""
     num_tasks = sum(len(p.tasks) for p in packed)
@@ -548,8 +538,3 @@ def packing_summary(packed: Sequence[PackedInstance]) -> dict[str, float]:
         "hourly_cost": configuration_cost(packed),
         "tasks_per_instance": num_tasks / len(packed) if packed else 0.0,
     }
-
-
-def total_demand(tasks: Iterable[Task], family: str) -> ResourceVector:
-    """Summed family-specific demand — handy for capacity sanity checks."""
-    return ResourceVector.sum(t.demand_for(family) for t in tasks)

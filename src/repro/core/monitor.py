@@ -8,8 +8,9 @@ per-job throughput reports into table updates:
   single entry (the likely straggler) to update so that recorded values
   remain lower bounds of the truth.
 
-The scheduler reads estimates back through :meth:`tput` when computing
-throughput-normalized reservation prices.
+The scheduler reads estimates back through the table's
+:meth:`~repro.core.throughput_table.CoLocationThroughputTable.tput` when
+computing throughput-normalized reservation prices.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.interfaces import JobThroughputReport
-from repro.core.throughput_table import (
-    CoLocationThroughputTable,
-    TaskPlacementObservation,
-)
+from repro.core.throughput_table import CoLocationThroughputTable
 
 
 @dataclass
@@ -70,15 +68,3 @@ class ThroughputMonitor:
                 )
         self._last_reports = tuple(reports)
         self._last_was_fixpoint = self.table.version == version_before
-
-    def tput(self, workload: str, neighbours: Sequence[str]) -> float:
-        """Estimated normalized throughput for a prospective placement."""
-        return self.table.tput(workload, neighbours)
-
-    def observation(
-        self, workload: str, neighbours: Sequence[str]
-    ) -> TaskPlacementObservation:
-        """Convenience constructor for placement observations."""
-        return TaskPlacementObservation(
-            workload=workload, neighbours=tuple(neighbours)
-        )

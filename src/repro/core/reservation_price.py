@@ -14,7 +14,7 @@ own reservation-price instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.cluster.instance import InstanceType
 from repro.cluster.task import Task
@@ -114,10 +114,6 @@ class ReservationPriceCalculator:
         """``RP(T) = Σ RP(τ)`` (§4.2)."""
         return sum(self.rp(t) for t in tasks)
 
-    def job_rp(self, tasks: Iterable[Task]) -> float:
-        """Reservation price of a whole job (used by the §4.4 extension)."""
-        return self.rp_of_set(tasks)
-
     def is_cost_efficient(
         self, tasks: Iterable[Task], instance_type: InstanceType, value: float | None = None
     ) -> bool:
@@ -152,10 +148,3 @@ def no_packing_cost(
     """Hourly cost of hosting every task on its own reservation-price
     instance — the No-Packing baseline's instantaneous provisioning cost."""
     return calculator.rp_of_set(tasks)
-
-
-def job_rp_index(
-    jobs: Mapping[str, Sequence[Task]], calculator: ReservationPriceCalculator
-) -> dict[str, float]:
-    """Precompute RP(j) for each job — the §4.4 multi-task penalty weight."""
-    return {job_id: calculator.rp_of_set(tasks) for job_id, tasks in jobs.items()}

@@ -118,19 +118,14 @@ class _RoundMemoEntry:
     exactly as the real computation would: ``mint_count`` advances the
     global instance-id counter by the number of ids the packing would
     have consumed (downstream tie-breaks sort on ids), and the stored
-    Equation-1 inputs let the hit path re-run the ensemble choice under
-    the *current* D̂ — which changes every round — before trusting the
-    cached decision.
+    ensemble record (``None`` when one candidate is disabled) lets the
+    hit path re-weigh Equation 1 under the *current* D̂ — which changes
+    every round — before trusting the cached decision.
     """
 
     decision: Decision
     mint_count: int
-    has_ensemble: bool
-    saving_full: float
-    saving_partial: float
-    migration_full: float
-    migration_partial: float
-    adopted_full: bool
+    ensemble: ReconfigDecision | None
 
 
 #: Cap on an urgency multiplier.  Far past the point where any tabled
@@ -241,26 +236,14 @@ class EvaScheduler(Scheduler):
                 "(interference_aware=True): urgency escalates the "
                 "throughput-degradation charge"
             )
-        self._known_job_ids: set[str] = set()
-        #: Arrival/completion count accumulated from the observation
-        #: channel; ``None`` until the first :meth:`observe` call, after
-        #: which the channel (not snapshot diffing) drives the D̂
-        #: estimator.
-        self._pending_job_events: int | None = None
+        #: Arrival/completion count from the observation channel, fed to
+        #: the D̂ estimator at the next round.
+        self._pending_job_events = 0
         self.last_decision: ReconfigDecision | None = None
         #: Round-decision memo (no-op steady-state rounds short-circuit
-        #: the whole packing pipeline).  ``None`` when disabled: under a
-        #: stochastic delay model (migration costing draws the RNG, so a
-        #: replay would desynchronize the stream), or when a subclass
-        #: overrides :meth:`schedule` wholesale (its extra logic would be
-        #: skipped on hits).  Setting it to ``None`` gives the memo-free
-        #: reference path.
-        self._round_memo: dict[tuple, _RoundMemoEntry] | None = None
-        if (
-            not self.delay_model.stochastic
-            and type(self).schedule is EvaScheduler.schedule
-        ):
-            self._round_memo = {}
+        #: the whole packing pipeline).  Setting it to ``None`` gives the
+        #: memo-free reference path.
+        self._round_memo: dict[tuple, _RoundMemoEntry] | None = {}
         #: Last computed round key, keyed by the identity of the snapshot
         #: collections it was derived from (see :meth:`_round_key`).
         self._round_key_cache: tuple | None = None
@@ -296,17 +279,10 @@ class EvaScheduler(Scheduler):
     def observe(self, observations: tuple[Observation, ...]) -> None:
         """Count arrival/completion events for the §4.5 D̂ estimator.
 
-        Once the environment speaks the observation channel, the typed
-        :class:`~repro.core.protocol.JobArrived`/:class:`~repro.core.protocol.JobFinished`
-        events drive ``record_events`` directly; the legacy fallback in
-        :meth:`_track_events` (diffing job-id sets between snapshots)
-        only remains for direct ``schedule()`` callers.
+        Typed ``JobArrived``/``JobFinished`` observations are the
+        estimator's one event source.
         """
-        count = count_job_events(observations)
-        if self._pending_job_events is None:
-            self._pending_job_events = count
-        else:
-            self._pending_job_events += count
+        self._pending_job_events += count_job_events(observations)
         for signal in self.signals:
             signal.observe(observations)
 
@@ -326,16 +302,14 @@ class EvaScheduler(Scheduler):
         )
 
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
-        self._pre_schedule(snapshot)
-        packing_snapshot = self._packing_snapshot(snapshot)
-        return self._schedule_core(
-            packing_snapshot, self.make_evaluator(packing_snapshot)
-        )
+        """The §3 contract: the target of one observation-free round."""
+        return self.decide(snapshot).target
 
     def _pre_schedule(self, snapshot: ClusterSnapshot) -> None:
         """Per-round bookkeeping that must run even on memoized rounds:
         the D̂ event count and the signals' levers."""
-        self._track_events(snapshot)
+        self.policy.record_events(self._pending_job_events, snapshot.time_s)
+        self._pending_job_events = 0
         if self.signals:
             self._combine_levers(snapshot)
 
@@ -490,14 +464,11 @@ class EvaScheduler(Scheduler):
         """
         self.on_throughput_reports(throughput_reports(observations))
         self.observe(observations)
-        memo = self._round_memo
-        if memo is None:
-            return diff_target(snapshot, self.schedule(snapshot))
-
         self._pre_schedule(snapshot)
         packing_snapshot = self._packing_snapshot(snapshot)
         evaluator = self.make_evaluator(packing_snapshot)
-        key = self._round_key(packing_snapshot, evaluator)
+        memo = self._round_memo
+        key = None if memo is None else self._round_key(packing_snapshot, evaluator)
 
         entry = memo.get(key) if key is not None else None
         if entry is not None:
@@ -512,52 +483,32 @@ class EvaScheduler(Scheduler):
         if key is not None and not decision.actions:
             if len(memo) >= _ROUND_MEMO_CAP:
                 memo.clear()
-            rd = self.last_decision
-            memo[key] = _RoundMemoEntry(
-                decision=decision,
-                mint_count=mint_count,
-                has_ensemble=rd is not None,
-                saving_full=rd.saving_full if rd is not None else 0.0,
-                saving_partial=rd.saving_partial if rd is not None else 0.0,
-                migration_full=rd.migration_full if rd is not None else 0.0,
-                migration_partial=rd.migration_partial if rd is not None else 0.0,
-                adopted_full=rd.adopted_full if rd is not None else False,
-            )
+            memo[key] = _RoundMemoEntry(decision, mint_count, self.last_decision)
         return decision
 
     def _replay_round(self, entry: _RoundMemoEntry) -> Decision | None:
         """Replay a memoized no-op round, or None to force a recompute.
 
         D̂ moves every round (the estimator's observation window grows),
-        so the Equation-1 comparison is re-run with the stored savings
-        and migration costs; only when it lands on the same branch is
-        the cached decision trusted — the ensemble bookkeeping (history,
-        adoption counts) is then replayed with the fresh D̂ exactly as
-        :meth:`EnsemblePolicy.decide` would have recorded it.
+        so Equation 1 is re-weighed with the stored savings and
+        migration costs; only when it lands on the same branch is the
+        cached decision trusted, and the fresh record is then logged as
+        :meth:`EnsemblePolicy.decide` would have logged it.
         """
-        if not entry.has_ensemble:
-            _instance_counter.advance(entry.mint_count)
-            self.last_decision = None
-            return entry.decision
-        d_hat = self.policy.estimator.estimated_duration_hours()
-        adopted_full = (
-            entry.saving_full * d_hat - entry.migration_full
-            > entry.saving_partial * d_hat - entry.migration_partial
-        )
-        if adopted_full != entry.adopted_full:
-            return None
+        stored = entry.ensemble
+        fresh = None
+        if stored is not None:
+            fresh = self.policy.weigh(
+                stored.saving_full,
+                stored.saving_partial,
+                stored.migration_full,
+                stored.migration_partial,
+            )
+            if fresh.adopted_full != stored.adopted_full:
+                return None
+            self.policy.record(fresh)
         _instance_counter.advance(entry.mint_count)
-        decision = ReconfigDecision(
-            adopted_full=adopted_full,
-            saving_full=entry.saving_full,
-            saving_partial=entry.saving_partial,
-            migration_full=entry.migration_full,
-            migration_partial=entry.migration_partial,
-            duration_estimate_hours=d_hat,
-        )
-        self.policy.history.append(decision)
-        self.policy.estimator.record_decision(adopted_full)
-        self.last_decision = decision
+        self.last_decision = fresh
         return entry.decision
 
     # ------------------------------------------------------------------
@@ -599,30 +550,6 @@ class EvaScheduler(Scheduler):
             memo=self._pack_memo,
         )
         return _to_target(result.configuration)
-
-    # ------------------------------------------------------------------
-    # Event tracking for the D̂ estimator
-    # ------------------------------------------------------------------
-    def _track_events(self, snapshot: ClusterSnapshot) -> None:
-        """Feed arrivals + completions into the Poisson event estimator.
-
-        Preferred source is the typed observation channel (see
-        :meth:`observe`); both sources count identically — every job
-        arrival/completion is observed exactly once by the scheduler —
-        which the byte-identical golden-digest matrix pins down.
-        """
-        if self._pending_job_events is not None:
-            count = self._pending_job_events
-            self._pending_job_events = 0
-        else:
-            # Legacy fallback for direct schedule() callers that bypass
-            # decide(): infer events by diffing live job ids.
-            job_ids = set(snapshot.jobs)
-            count = len(job_ids - self._known_job_ids) + len(
-                self._known_job_ids - job_ids
-            )
-            self._known_job_ids = job_ids
-        self.policy.record_events(count, snapshot.time_s)
 
     # ------------------------------------------------------------------
     # Introspection

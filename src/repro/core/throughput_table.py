@@ -249,8 +249,5 @@ class CoLocationThroughputTable:
         """Monotonic counter of value-changing updates (cache epoch)."""
         return self._version
 
-    def num_pairwise_entries(self) -> int:
-        return len(self._pairwise)
-
     def pairwise_snapshot(self) -> Mapping[tuple[str, str], float]:
         return dict(self._pairwise)

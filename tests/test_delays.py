@@ -40,6 +40,14 @@ class TestMultipliers:
         assert model.launch_s(10.0) == 20.0
         assert model.acquisition_s() == ACQUISITION_MEAN_S
 
+    @pytest.mark.parametrize("multiplier", [0.1, 0.5, 1.0, 1.7, 3.0, 10.0 / 3.0])
+    def test_mean_instance_ready_matches_deterministic(self, multiplier):
+        deterministic = DelayModel(instance_multiplier=multiplier)
+        stochastic = DelayModel(stochastic=True, instance_multiplier=multiplier)
+        expected = deterministic.instance_ready_s()
+        assert deterministic.mean_instance_ready_s() == expected
+        assert stochastic.mean_instance_ready_s() == expected
+
     def test_instance_multiplier_scales_instance_delays_only(self):
         model = DelayModel(instance_multiplier=3.0)
         assert model.acquisition_s() == 3 * ACQUISITION_MEAN_S

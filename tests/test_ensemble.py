@@ -158,6 +158,17 @@ class TestCosts:
         )
         assert doubled > base
 
+    def test_stochastic_model_prices_at_means_without_drawing(
+        self, example_catalog
+    ):
+        calc = ReservationPriceCalculator(example_catalog)
+        snapshot, full, _ = _snapshot_and_targets(example_catalog, calc)
+        stochastic = DelayModel(stochastic=True, rng=np.random.default_rng(3))
+        state = stochastic.rng.bit_generator.state
+        cost = migration_cost(full, snapshot, stochastic)
+        assert stochastic.rng.bit_generator.state == state
+        assert cost == migration_cost(full, snapshot, DelayModel())
+
     def test_no_op_target_costs_nothing(self, example_catalog):
         calc = ReservationPriceCalculator(example_catalog)
         snapshot, _, _ = _snapshot_and_targets(example_catalog, calc)

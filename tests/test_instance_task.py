@@ -1,5 +1,7 @@
 """Unit tests for instance types, instances, tasks, and jobs."""
 
+import math
+
 import pytest
 
 from repro.cluster.instance import (
@@ -110,6 +112,23 @@ class TestJob:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError):
             make_job("w", {"*": ResourceVector(1, 1, 1)}, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_hours", math.inf),
+            ("duration_hours", math.nan),
+            ("deadline_hours", math.inf),
+            ("deadline_hours", math.nan),
+            ("arrival_time_s", math.inf),
+            ("arrival_time_s", -math.inf),
+            ("arrival_time_s", math.nan),
+        ],
+    )
+    def test_non_finite_times_rejected_naming_the_job(self, field, value):
+        kwargs = {"duration_hours": 1.0, "arrival_time_s": 0.0, field: value}
+        with pytest.raises(ValueError, match="job bad-job "):
+            make_job("w", {"*": ResourceVector(1, 1, 1)}, job_id="bad-job", **kwargs)
 
     def test_migration_delays_total(self):
         delays = MigrationDelays(checkpoint_s=10, launch_s=20)

@@ -394,34 +394,10 @@ class TestSchedulerProtocolSurface:
             ),
         )
         assert scheduler.policy.estimator.total_events == 3
-        # A later round with no job events adds none — even though the
-        # legacy snapshot diff would now see two "new" job ids had the
-        # estimator still inspected snapshots.
+        # A later round with no job events adds none, though the
+        # snapshot still holds two jobs.
         scheduler.decide(snapshot, ())
         assert scheduler.policy.estimator.total_events == 3
-
-    def test_eva_legacy_schedule_still_tracks_by_snapshot_diff(
-        self, catalog, two_jobs
-    ):
-        scheduler = EvaScheduler(catalog)
-        snapshot = _snapshot_with(catalog, two_jobs, [])
-        scheduler.schedule(snapshot)
-        assert scheduler.policy.estimator.total_events == 2
-
-    def test_observation_and_snapshot_counting_agree_end_to_end(self, catalog):
-        """Same trace, observation-driven vs snapshot-driven event counts."""
-        trace = synthetic_trace(10, seed=7, name="evt-agree")
-
-        class SnapshotDiffEva(EvaScheduler):
-            def observe(self, observations):
-                pass  # starve the channel: force the legacy fallback
-
-        import pickle
-
-        results = []
-        for scheduler in (EvaScheduler(catalog), SnapshotDiffEva(catalog)):
-            results.append(run_simulation(trace, scheduler))
-        assert pickle.dumps(results[0]) == pickle.dumps(results[1])
 
 
 class TestEvictionAwareScheduler:

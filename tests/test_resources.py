@@ -1,5 +1,7 @@
 """Unit and property tests for ResourceVector."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +23,11 @@ class TestConstruction:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ResourceVector(-1, 0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="'cpus' must be finite"):
+            ResourceVector(0, bad, 0)
 
     def test_sum_empty_is_zero(self):
         assert ResourceVector.sum([]).is_zero()

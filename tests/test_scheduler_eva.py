@@ -7,6 +7,7 @@ from repro.cluster.resources import ResourceVector
 from repro.cluster.state import ClusterSnapshot, InstanceState
 from repro.cluster.task import make_job
 from repro.core.interfaces import JobThroughputReport
+from repro.core.protocol import JobArrived, JobFinished
 from repro.core.scheduler import EvaConfig, EvaScheduler, make_eva_variant
 from repro.core.throughput_table import TaskPlacementObservation
 
@@ -76,14 +77,20 @@ class TestScheduling:
     def test_event_tracking_across_rounds(self, example_catalog):
         scheduler = EvaScheduler(example_catalog)
         j1 = _job("w1", (1, 4, 10), "e1")
-        scheduler.schedule(_snapshot([j1], time_s=0.0))
+        scheduler.decide(_snapshot([j1], time_s=0.0), (JobArrived("e1", 0.0),))
         assert scheduler.policy.estimator.total_events == 1
         j2 = _job("w1", (1, 4, 10), "e2")
-        scheduler.schedule(_snapshot([j1, j2], time_s=300.0))
+        scheduler.decide(
+            _snapshot([j1, j2], time_s=300.0), (JobArrived("e2", 300.0),)
+        )
         assert scheduler.policy.estimator.total_events == 2
         # j1 completes: one more event.
-        scheduler.schedule(_snapshot([j2], time_s=600.0))
+        scheduler.decide(_snapshot([j2], time_s=600.0), (JobFinished("e1", 600.0),))
         assert scheduler.policy.estimator.total_events == 3
+        # A round without job events counts none.
+        scheduler.decide(_snapshot([j2], time_s=900.0))
+        assert scheduler.policy.estimator.total_events == 3
+        assert scheduler.policy.estimator.last_time_s == 900.0
 
     def test_full_only_variant_has_no_decision(self, example_catalog):
         scheduler = EvaScheduler(

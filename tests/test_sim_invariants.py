@@ -26,6 +26,7 @@ import pytest
 import pickle
 
 from repro.cloud.catalog import ec2_catalog
+from repro.cloud.delays import DelayModel
 from repro.cloud.market import CreditModel, MarketConfig, MarketPool
 from repro.cloud.provider import SimulatedCloud
 from repro.cluster.resources import RESOURCE_NAMES
@@ -585,12 +586,16 @@ def _fuzz_scenario(seed: int) -> Scenario:
 
 
 def _simulate(
-    scenario: Scenario, scheduler: Scheduler, sim_cls=ClusterSimulator
+    scenario: Scenario,
+    scheduler: Scheduler,
+    sim_cls=ClusterSimulator,
+    delay_model: DelayModel | None = None,
 ) -> SimulationResult:
     """Run ``scenario``'s trace and environment under ``scheduler``."""
     sim = sim_cls(
         trace=scenario.trace.build(default_seed=scenario.seed),
         scheduler=scheduler,
+        delay_model=delay_model,
         period_s=scenario.period_s,
         spot=scenario.spot,
         deadline_warning_s=scenario.deadline_warning_s,
@@ -792,19 +797,47 @@ _EVA_PRESETS = tuple(
 
 
 class TestRoundMemoOracle:
-    """The round memo is mechanism only: with it switched off, every Eva
-    preset must produce a byte-identical result on every fuzz case."""
+    """The cross-round caches are mechanism only: with the round memo and
+    ``PackMemo`` both switched off, every Eva preset must produce a
+    byte-identical result on every fuzz case."""
+
+    @staticmethod
+    def _assert_cache_free_identical(preset, scenario, catalog, make_delays):
+        """Run ``scenario`` cached and cache-free; each side builds its own
+        delay model with ``make_delays`` and shares it between scheduler
+        and simulator, as ``_execute_scenario`` does."""
+        pickled = []
+        for reference in (False, True):
+            delays = make_delays()
+            scheduler = make_scheduler(preset, catalog, delay_model=delays)
+            assert scheduler._round_memo is not None
+            assert scheduler._pack_memo is not None
+            if reference:
+                scheduler._round_memo = None
+                scheduler._pack_memo = None
+            result = _simulate(scenario, scheduler, delay_model=delays)
+            pickled.append(pickle.dumps(result))
+        assert pickled[0] == pickled[1]
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("preset", _EVA_PRESETS)
     def test_memo_free_run_is_identical(self, preset, seed, catalog):
-        scenario = _fuzz_scenario(seed)
-        memoized = make_scheduler(preset, catalog)
-        reference = make_scheduler(preset, catalog)
-        reference._round_memo = None
-        assert memoized._round_memo is not None
-        assert pickle.dumps(_simulate(scenario, memoized)) == pickle.dumps(
-            _simulate(scenario, reference)
+        self._assert_cache_free_identical(
+            preset, _fuzz_scenario(seed), catalog, DelayModel
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("preset", _EVA_PRESETS)
+    def test_memo_free_run_is_identical_under_stochastic_delays(
+        self, preset, seed, catalog
+    ):
+        """Migration pricing must not draw from the RNG the simulator
+        samples real delays from, or a memo hit would shift the stream."""
+        self._assert_cache_free_identical(
+            preset,
+            _fuzz_scenario(seed),
+            catalog,
+            lambda: DelayModel(stochastic=True, rng=np.random.default_rng(seed)),
         )
 
 
