@@ -112,17 +112,15 @@ class DelayModel:
         )
         return base * self.instance_multiplier
 
-    def instance_ready_s(self) -> float:
-        """Total delay from launch request until the instance can run tasks."""
-        return self.acquisition_s() + self.setup_s()
-
     def mean_instance_ready_s(self) -> float:
-        """The Table 1 average of :meth:`instance_ready_s`, never sampled.
+        """Mean delay from launch request until the instance can run tasks.
 
-        A scheduler prices launches with this (§4.5): it cannot know the
+        The Table 1 acquisition and setup averages, never sampled.  A
+        scheduler prices launches with this (§4.5): it cannot know the
         delay the cloud will draw, and reading ``rng`` here would shift
         the stream the environment samples its real delays from.  Equal
-        bit for bit to the deterministic :meth:`instance_ready_s`.
+        bit for bit to a deterministic model's
+        ``acquisition_s() + setup_s()``.
         """
         return (
             ACQUISITION_MEAN_S * self.instance_multiplier

@@ -302,7 +302,15 @@ class EvaScheduler(Scheduler):
         )
 
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
-        """The §3 contract: the target of one observation-free round."""
+        """The §3 contract: the target of one observation-free round.
+
+        This is a full :meth:`decide` round with empty observations, so
+        it also clears the signals' per-round observation state (e.g.
+        :class:`~repro.core.deadline.DeadlineUrgency` forgets earlier
+        throughput reports and credits no progress).  Callers that have
+        observations pass them through ``decide(snapshot, observations)``
+        instead.
+        """
         return self.decide(snapshot).target
 
     def _pre_schedule(self, snapshot: ClusterSnapshot) -> None:

@@ -24,7 +24,7 @@ class TestDeterministic:
 
     def test_instance_ready_combines(self):
         model = DelayModel()
-        assert model.instance_ready_s() == ACQUISITION_MEAN_S + SETUP_MEAN_S
+        assert model.mean_instance_ready_s() == ACQUISITION_MEAN_S + SETUP_MEAN_S
 
     def test_workload_overrides(self):
         model = DelayModel()
@@ -44,7 +44,7 @@ class TestMultipliers:
     def test_mean_instance_ready_matches_deterministic(self, multiplier):
         deterministic = DelayModel(instance_multiplier=multiplier)
         stochastic = DelayModel(stochastic=True, instance_multiplier=multiplier)
-        expected = deterministic.instance_ready_s()
+        expected = deterministic.acquisition_s() + deterministic.setup_s()
         assert deterministic.mean_instance_ready_s() == expected
         assert stochastic.mean_instance_ready_s() == expected
 
