@@ -13,7 +13,10 @@ Reported rates: simulation events dispatched per second, scheduling
 rounds per second, and Algorithm 1 ``_pack_one_instance`` calls per
 second.  Event and pack-call counts are taken by wrapping the hot
 functions, so the bench runs unmodified against older revisions of the
-engine (useful for before/after comparisons from a worktree).
+engine (useful for before/after comparisons from a worktree).  Each
+record also has a ``cold_start`` entry: the median wall time and peak
+resident set (Linux ``VmHWM``) of fresh processes that only import the
+engine, the set-up every simulation process pays before its first event.
 
 Usage::
 
@@ -35,6 +38,8 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -86,6 +91,47 @@ def _scenarios() -> list[tuple[str, object, str]]:
             "eva",
         ),
     ]
+
+
+#: What every simulation process imports before it builds a trace.
+COLD_START_IMPORTS = "import repro.core, repro.sim"
+COLD_START_RUNS = 5
+
+
+def _cold_start() -> dict:
+    """Median wall seconds and ``VmHWM`` of fresh import-only processes.
+
+    The entry has no result fingerprint, so the drift check (which reads
+    ``scenarios``) passes over it.
+    """
+    program = (
+        f"{COLD_START_IMPORTS}\n"
+        "for line in open('/proc/self/status'):\n"
+        "    if line.startswith('VmHWM:'):\n"
+        "        print(int(line.split()[1]) / 1024.0)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p
+    )
+    walls, peaks = [], []
+    for _ in range(COLD_START_RUNS):
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-c", program],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        walls.append(time.perf_counter() - start)
+        peaks.append(float(out.stdout))
+    return {
+        "command": f'python -c "{COLD_START_IMPORTS}"',
+        "processes": COLD_START_RUNS,
+        "wall_s": round(statistics.median(walls), 4),
+        "vmhwm_mb": round(statistics.median(peaks), 1),
+    }
 
 
 def _run_one(name: str, trace, scheduler_name: str) -> dict:
@@ -218,8 +264,15 @@ def main() -> dict:
         "git_sha": git_sha(),
         "python": platform.python_version(),
         "eva_bench_scale": bench_scale(),
+        "cold_start": _cold_start(),
         "scenarios": {},
     }
+    cold = record["cold_start"]
+    print(
+        f"[bench_hotpath] cold start: {cold['wall_s']:.3f}s  "
+        f"{cold['vmhwm_mb']:.1f} MB VmHWM  ({cold['command']})",
+        flush=True,
+    )
     for name, trace, scheduler_name in _scenarios():
         print(f"[bench_hotpath] {name} ...", flush=True)
         record["scenarios"][name] = _run_one(name, trace, scheduler_name)

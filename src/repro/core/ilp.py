@@ -23,7 +23,9 @@ solver-friendly, solution-preserving ways:
 The solver is HiGHS via :func:`scipy.optimize.milp` (the paper used
 Gurobi; both are exact MILP solvers, only wall-clock differs), with a
 configurable time limit — the paper itself reports best-found solutions
-under a 30-minute limit (Table 4).
+under a 30-minute limit (Table 4).  scipy loads on the first solve, not
+at import: only the Table 4 microbenchmark solves the ILP, and importing
+scipy takes longer than a small simulation.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from repro.cluster.instance import InstanceType, fresh_instance
 from repro.cluster.task import Task
@@ -84,6 +84,9 @@ def ilp_schedule(
             if optimality is not proven in time.
         max_instances: Cap on |I| (defaults to |T|, the paper's bound).
     """
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import lil_matrix
+
     if not tasks:
         return ILPResult([], 0.0, True, 0.0, "empty task set")
 

@@ -22,10 +22,11 @@ Figure 7 (multi-task duplication) remixes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.cluster.resources import ResourceVector
 from repro.cluster.task import DEFAULT_FAMILY, Job, Task
@@ -84,9 +85,7 @@ def _below_tail_mean(anchors: tuple[tuple[float, float], ...]) -> float:
 def _truncated_pareto_mean(alpha: float, x_min: float, x_max: float) -> float:
     """Mean of a Pareto(alpha, x_min) truncated at x_max."""
     if math.isclose(alpha, 1.0, abs_tol=1e-12):
-        return (x_max - x_min) * 0 + x_min * math.log(x_max / x_min) / (
-            1.0 - (x_min / x_max)
-        )
+        return x_min * math.log(x_max / x_min) / (1.0 - (x_min / x_max))
     norm = 1.0 - (x_min / x_max) ** alpha
     return (
         alpha
@@ -97,26 +96,105 @@ def _truncated_pareto_mean(alpha: float, x_min: float, x_max: float) -> float:
     )
 
 
+#: Pareto shapes the tail solve searches between.
+_TAIL_ALPHA_RANGE = (1e-6, 20.0)
+
+#: ``scipy.optimize.brentq``'s default tolerances and iteration cap.
+_BRENTQ_XTOL = 2e-12
+_BRENTQ_RTOL = 4 * sys.float_info.epsilon
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
+    """Root of ``f`` between ``xa`` and ``xb`` by Brent's method.
+
+    A step-for-step port of scipy's C ``brentq`` at its default
+    tolerances, so the result equals ``scipy.optimize.brentq(f, xa, xb)``
+    bit for bit while the trace builders stay free of scipy, whose import
+    costs more than a small simulation.  Raises ``ValueError`` when
+    ``f(xa)`` and ``f(xb)`` share a sign or ``f`` returns NaN, and
+    ``RuntimeError`` when the iteration cap is reached, as scipy does.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(
+        f"failed to converge after {_BRENTQ_MAXITER} iterations, value is {xcur}"
+    )
+
+
 def solve_tail_alpha(
     target_mean_h: float = ALIBABA_MEAN_H,
     anchors: tuple[tuple[float, float], ...] = ALIBABA_QUANTILE_ANCHORS,
     x_max: float = ALIBABA_MAX_DURATION_H,
 ) -> float:
-    """Pareto shape making the overall duration mean hit ``target_mean_h``."""
+    """Pareto shape making the overall duration mean hit ``target_mean_h``.
+
+    Raises ``ValueError`` when no shape in ``_TAIL_ALPHA_RANGE`` reaches
+    the target.
+    """
     tail_q, x_min = anchors[-1]
     tail_weight = 1.0 - tail_q
     body = _below_tail_mean(anchors)
     target_tail_mean = (target_mean_h - body) / tail_weight
-    limit_mean = (x_max - x_min) / math.log(x_max / x_min)  # alpha -> 0 limit
-    if target_tail_mean >= limit_mean:
+    alpha_lo, alpha_hi = _TAIL_ALPHA_RANGE
+    # The tail mean falls as the shape grows.
+    lowest = _truncated_pareto_mean(alpha_hi, x_min, x_max)
+    highest = _truncated_pareto_mean(alpha_lo, x_min, x_max)
+    if not lowest <= target_tail_mean <= highest:
         raise ValueError(
-            f"target tail mean {target_tail_mean:.1f}h unreachable with cap {x_max}h"
+            f"target mean {target_mean_h}h unreachable: with cap {x_max}h the "
+            f"duration mean lies in [{body + tail_weight * lowest:.3f}h, "
+            f"{body + tail_weight * highest:.3f}h]"
         )
 
     def gap(alpha: float) -> float:
         return _truncated_pareto_mean(alpha, x_min, x_max) - target_tail_mean
 
-    return float(brentq(gap, 1e-6, 20.0))
+    return _brentq(gap, alpha_lo, alpha_hi)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
 """Unit tests for the Alibaba-like trace synthesis (Tables 8/9)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.workloads import alibaba
 from repro.workloads.alibaba import (
     ALIBABA_MEAN_H,
     AlibabaDurationModel,
     TABLE8_GPU_COMPOSITION,
+    _brentq,
+    _truncated_pareto_mean,
     remix_multi_gpu,
     remix_multi_task,
     solve_tail_alpha,
@@ -44,6 +51,69 @@ class TestDurationModel:
         model = AlibabaDurationModel()
         with pytest.raises(ValueError):
             model.inverse_cdf(1.0)
+
+    def test_tail_alpha_pinned(self):
+        # Every Alibaba trace, golden digest and benchmark digest rests on it.
+        assert solve_tail_alpha() == 0.06013255641061881
+
+    @pytest.mark.parametrize("target", [0.5, 0.8, 10.02, 1000.0, math.nan])
+    def test_unreachable_target_names_the_range(self, target):
+        with pytest.raises(ValueError, match=r"unreachable: .*\[0\.835h, 10\.019h\]"):
+            solve_tail_alpha(target_mean_h=target)
+
+
+#: Smooth monotone functions with a root in (0, 0.5), and one decreasing
+#: like the tail fit's own gap.
+_MONOTONE = (
+    lambda x: x**3 - 0.1,
+    lambda x: math.atan(x - 0.3),
+    lambda x: math.exp(x) - 1.5,
+    lambda x: x + math.sin(x) / 2 - 0.2,
+    lambda x: _truncated_pareto_mean(x + 0.5, 5.2, 1000.0) - 40.0,
+)
+
+
+class TestBrentPort:
+    """``_brentq`` repeats scipy's C ``brentq`` step for step, so its
+    results are equal to scipy's, not merely close."""
+
+    @pytest.fixture
+    def scipy_brentq(self):
+        return pytest.importorskip("scipy.optimize").brentq
+
+    def test_alibaba_solves_match_scipy(self, scipy_brentq, monkeypatch):
+        targets = [ALIBABA_MEAN_H, *np.linspace(0.84, 10.0, 23).tolist()]
+        ours = [solve_tail_alpha(t) for t in targets]
+        monkeypatch.setattr(alibaba, "_brentq", scipy_brentq)
+        assert ours == [solve_tail_alpha(t) for t in targets]
+
+    @given(
+        f=st.sampled_from(_MONOTONE),
+        lo=st.floats(-0.45, 0.0),
+        hi=st.floats(0.5, 50.0),
+        flip=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_brackets_match_scipy(self, f, lo, hi, flip):
+        scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+        a, b = (hi, lo) if flip else (lo, hi)
+        assert _brentq(f, a, b) == scipy_brentq(f, a, b)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("bad_x", [0.0, 0.5])  # an endpoint, a later step
+    def test_nan_value_raises(self, bad_x):
+        def f(x):
+            return math.nan if x == bad_x else x - 0.5
+
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(f, 0.0, 1.0)
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(RuntimeError, match="converge"):
+            _brentq(lambda x: -1.0 if x < 1.0 else 1.0, -1e300, 1e300)
 
 
 class TestTraceComposition:
