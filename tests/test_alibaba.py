@@ -77,7 +77,7 @@ class TestBrentPort:
     """``_brentq`` repeats scipy's C ``brentq`` step for step, so its
     results are equal to scipy's, not merely close."""
 
-    @pytest.fixture
+    @pytest.fixture(scope="class")
     def scipy_brentq(self):
         return pytest.importorskip("scipy.optimize").brentq
 
@@ -94,8 +94,7 @@ class TestBrentPort:
         flip=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_random_brackets_match_scipy(self, f, lo, hi, flip):
-        scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+    def test_random_brackets_match_scipy(self, scipy_brentq, f, lo, hi, flip):
         a, b = (hi, lo) if flip else (lo, hi)
         assert _brentq(f, a, b) == scipy_brentq(f, a, b)
 
