@@ -126,15 +126,3 @@ class ReactiveScheduler(Scheduler):
     def cheapest_type_for(self, task: Task) -> InstanceType:
         """The task's reservation-price type (cheapest feasible)."""
         return self.rp_calculator.rp_type(task)
-
-    def cheapest_type_for_pair(
-        self, a: Task, b: Task
-    ) -> InstanceType | None:
-        """Cheapest type that can host both tasks together, if any."""
-        best: InstanceType | None = None
-        for itype in self.catalog:
-            demand = a.demand_for(itype.family) + b.demand_for(itype.family)
-            if demand.fits_within(itype.capacity):
-                if best is None or itype.hourly_cost < best.hourly_cost:
-                    best = itype
-        return best

@@ -72,9 +72,6 @@ class ClusterSnapshot:
     def task(self, task_id: str) -> Task:
         return self.tasks[task_id]
 
-    def job_of(self, task: Task) -> Job:
-        return self.jobs[task.job_id]
-
     def assigned_task_ids(self) -> set[str]:
         assigned: set[str] = set()
         for state in self.instances:

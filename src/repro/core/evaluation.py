@@ -11,11 +11,11 @@ cost-efficiency criterion.
   reservation price using the co-location throughput table, optionally
   with the §4.4 multi-task job extension ("Eva-TNRP" / "Eva-Multi").
 
-Evaluators also expose an incremental :class:`PackState` so Algorithm 1's
-inner ``argmax RP(T ∪ {τ'})`` runs in O(|T|) per candidate instead of
-O(|T|²); the TNRP state falls back to an exact recomputation whenever the
-throughput table holds exact-set entries that a pure pairwise-product
-increment would miss.
+Evaluators also expose an incremental :class:`PackState` for Algorithm 1's
+inner ``argmax RP(T ∪ {τ'})``.  The TNRP state values a candidate with the
+same table lookups, in the same order, as ``set_value`` over the grown set,
+memoized per candidate workload, so it agrees with ``set_value`` bit for
+bit whatever entries the throughput table holds.
 """
 
 from __future__ import annotations
@@ -164,15 +164,11 @@ class TNRPCaches:
     ``version`` bumps), the TNRP memo never needs invalidation.
     """
 
-    __slots__ = ("tnrp", "set_value", "job_rp", "table_version", "catalog_token")
+    __slots__ = ("tnrp", "set_value", "table_version", "catalog_token")
 
     def __init__(self) -> None:
         self.tnrp: dict[tuple[str, float], float] = {}
         self.set_value: dict[tuple[str, ...], float] = {}
-        #: job_id → RP(j).  Jobs are immutable, so the §4.4 whole-job RP
-        #: is stable across rounds; evaluators still recheck the job's
-        #: presence/arity in their per-round mapping before using it.
-        self.job_rp: dict[str, float] = {}
         self.table_version = -1
         self.catalog_token: tuple | None = None
 
@@ -190,33 +186,27 @@ class TNRPCaches:
             if self.catalog_token is not None:
                 self.tnrp.clear()
                 self.set_value.clear()
-                self.job_rp.clear()
             self.catalog_token = catalog_token
 
 
 class _TNRPPackState(PackState):
     """Incremental TNRP of a tentative set.
 
-    Maintains, per member, the current throughput estimate.  Adding a
-    candidate multiplies each member's throughput by the pairwise entry
-    against the candidate's workload — valid exactly when no exact-set
-    table entries could apply, which the state checks per operation.
+    ``value_with(τ)`` is ``set_value(members + [τ])`` term by term (see
+    :meth:`scan_entry`), and ``add(τ)`` commits exactly that value, so a
+    pairwise-product estimate and an exact table entry take one path.
     """
 
     def __init__(self, evaluator: "TNRPEvaluator", tasks: Sequence[Task]):
         self._ev = evaluator
         self._members: list[Task] = []
-        self._tputs: list[float] = []
         self._workloads: list[str] = []
         self._value = 0.0
-        # The table cannot change during this state's lifetime (updates
-        # only happen between rounds, via the monitor), so the fast-path
-        # predicate is fixed at construction.
-        self._fast = not evaluator.table.has_large_exact_entries()
-        #: Exact-path scan memo, cleared on every ``add``: for a fixed
-        #: member set, the member-sum and the candidate's throughput
-        #: depend only on the candidate's *workload*, so one computation
-        #: serves every same-workload candidate in Algorithm 1's scan.
+        #: Scan memo, cleared on every ``add``: for a fixed member set,
+        #: the member-sum and the candidate's throughput depend only on
+        #: the candidate's *workload*, so one computation serves every
+        #: same-workload candidate in Algorithm 1's scan (and the ``add``
+        #: of the one it picks).
         self._scan_cache: dict[str, tuple[float, float]] = {}
         for task in tasks:
             self.add(task)
@@ -225,34 +215,12 @@ class _TNRPPackState(PackState):
     def value(self) -> float:
         return self._value
 
-    def _member_tnrp(self, task: Task, tput: float) -> float:
-        return self._ev.tnrp_from_tput(task, tput)
-
-    def _fast_path(self) -> bool:
-        """Pairwise increments are exact iff the table has no exact-set
-        entries for sets larger than a pair (pairs are the pairwise store
-        itself)."""
-        return self._fast
-
     def value_with(self, task: Task) -> float:
-        if not self._members:
-            return self._member_tnrp(task, 1.0)
-        if not self._fast_path():
-            member_sum, tput_cand = self.scan_entry(task.workload)
-            return member_sum + self._ev.tnrp_from_tput(task, tput_cand)
-        total = 0.0
-        w_new = task.workload
-        tput_new = 1.0
-        tnrp = self._ev.tnrp_from_tput
-        pairwise = self._ev.table.pairwise
-        for member, tput, w in zip(self._members, self._tputs, self._workloads):
-            total += tnrp(member, tput * pairwise(w, w_new))
-            tput_new *= pairwise(w_new, w)
-        total += tnrp(task, tput_new)
-        return total
+        member_sum, tput_cand = self.scan_entry(task.workload)
+        return member_sum + self._ev.tnrp_from_tput(task, tput_cand)
 
     def scan_entry(self, workload: str) -> tuple[float, float]:
-        """Exact-path scan terms for a candidate of ``workload``.
+        """Scan terms for a candidate of ``workload``.
 
         Reproduces ``set_value(members + [candidate])`` term by term and
         in the same accumulation order: member i sees neighbours
@@ -277,31 +245,10 @@ class _TNRPPackState(PackState):
         return entry
 
     def add(self, task: Task) -> None:
-        if self._scan_cache:
-            self._scan_cache.clear()
-        if self._fast_path() or not self._members:
-            w_new = task.workload
-            tput_new = 1.0
-            pairwise = self._ev.table.pairwise
-            for idx, w in enumerate(self._workloads):
-                self._tputs[idx] *= pairwise(w, w_new)
-                tput_new *= pairwise(w_new, w)
-            self._members.append(task)
-            self._workloads.append(w_new)
-            self._tputs.append(tput_new)
-        else:
-            self._members.append(task)
-            self._workloads.append(task.workload)
-            self._tputs = [
-                self._ev.table.tput(
-                    t.workload, self._workloads[:i] + self._workloads[i + 1 :]
-                )
-                for i, t in enumerate(self._members)
-            ]
-        tnrp = self._ev.tnrp_from_tput
-        self._value = sum(
-            tnrp(m, tp) for m, tp in zip(self._members, self._tputs)
-        )
+        self._value = self.value_with(task)
+        self._members.append(task)
+        self._workloads.append(task.workload)
+        self._scan_cache.clear()
 
 
 @dataclass
@@ -364,15 +311,11 @@ class TNRPEvaluator(AssignmentEvaluator):
         if job_id in self._job_rp_cache:
             return self._job_rp_cache[job_id]
         job = self.jobs.get(job_id)
-        if job is None or not job.is_multi_task:
-            rp = None
-        else:
-            # RP(j) is stable for an immutable job; share it across
-            # rounds (presence in this round's mapping checked above).
-            rp = self.caches.job_rp.get(job_id)
-            if rp is None:
-                rp = self.calculator.rp_of_set(job.tasks)
-                self.caches.job_rp[job_id] = rp
+        rp = (
+            self.calculator.rp_of_set(job.tasks)
+            if job is not None and job.is_multi_task
+            else None
+        )
         self._job_rp_cache[job_id] = rp
         return rp
 

@@ -81,15 +81,7 @@ class _TaskPool:
         self._buckets = buckets
         self._ordered_keys = sorted(buckets)
         self._size = size
-        #: Mutation counter backing the fingerprint cache: Algorithm 1
-        #: fingerprints the pool once per (type, state) pack attempt, and
-        #: consecutive attempts over an unmutated pool reuse the tuple.
-        self._rev = 0
-        self._fp_rev = -1
-        self._fp: tuple = ()
-        #: Per-type restricted fingerprints (type name → (rev, fp)) and
-        #: per-(group, family) demand triples backing them.
-        self._fp_by_type: dict[str, tuple[int, tuple]] = {}
+        #: Per-(group, family) demand triples behind ``fingerprint_for``.
         self._demand_by_key: dict[tuple, tuple[float, float, float]] = {}
 
     def _key(self, task: Task) -> tuple:
@@ -123,14 +115,12 @@ class _TaskPool:
             )
         popped = bucket.pop()
         self._size -= 1
-        self._rev += 1
         if not bucket:
             del self._buckets[key]
             del self._ordered_keys[bisect_left(self._ordered_keys, key)]
         return popped
 
     def push_back(self, tasks: Sequence[Task]) -> None:
-        self._rev += 1
         for task in tasks:
             key = self._key(task)
             bucket = self._buckets.get(key)
@@ -149,14 +139,11 @@ class _TaskPool:
         identically iff their fingerprints match (given the same
         evaluator state).
         """
-        if self._fp_rev != self._rev:
-            buckets = self._buckets
-            self._fp = tuple(
-                (key, tuple(t.task_id for t in buckets[key]))
-                for key in self._ordered_keys
-            )
-            self._fp_rev = self._rev
-        return self._fp
+        buckets = self._buckets
+        return tuple(
+            (key, tuple(t.task_id for t in buckets[key]))
+            for key in self._ordered_keys
+        )
 
     def fingerprint_for(self, itype: InstanceType) -> tuple:
         """Fingerprint restricted to groups feasible on an empty ``itype``.
@@ -170,9 +157,6 @@ class _TaskPool:
         share a demand signature, so the representative's demand decides
         for the whole bucket.
         """
-        cached = self._fp_by_type.get(itype.name)
-        if cached is not None and cached[0] == self._rev:
-            return cached[1]
         cap = itype.capacity
         family = itype.family
         max_g = cap.gpus + _EPS
@@ -192,9 +176,7 @@ class _TaskPool:
             if d[0] > max_g or d[1] > max_c or d[2] > max_r:
                 continue
             parts.append((key, tuple(t.task_id for t in bucket)))
-        fp = tuple(parts)
-        self._fp_by_type[itype.name] = (self._rev, fp)
-        return fp
+        return tuple(parts)
 
     def drain(self) -> list[Task]:
         """Remove and return every task, in pop order (ascending group
@@ -207,7 +189,6 @@ class _TaskPool:
         self._buckets = {}
         self._ordered_keys = []
         self._size = 0
-        self._rev += 1
         return drained
 
 
@@ -302,8 +283,14 @@ def _pack_one_instance(
     evaluator: AssignmentEvaluator,
     memo: "PackMemo | None" = None,
     token: tuple | None = None,
+    resident: Sequence[Task] = (),
 ) -> tuple[list[Task], float]:
     """Greedy inner loop of Algorithm 1 (lines 6–13) for one instance.
+
+    Returns the tasks popped from ``pool`` and the value of the whole
+    set.  ``resident`` tasks (not in the pool) already occupy the
+    instance: they seed the value and use capacity, as when Partial
+    Reconfiguration offers a surviving instance's spare room (§4.5).
 
     With a ``memo`` and a valid evaluator ``token``, the outcome is
     memoized per ``(token, type, pool fingerprint)``: the greedy scan is
@@ -316,6 +303,8 @@ def _pack_one_instance(
     """
     pack_key: tuple | None = None
     if memo is not None and token is not None:
+        # The key covers the pool, not the residents.
+        assert not resident, "the per-attempt memo needs an empty instance"
         pack_key = (token, itype.name, pool.fingerprint_for(itype))
         hit = memo.get_pack(pack_key)
         if hit is not None:
@@ -324,8 +313,10 @@ def _pack_one_instance(
             return [pool.pop(buckets[key][-1]) for key in pop_keys], value
     chosen: list[Task] = []
     pop_keys: list[tuple] = []
-    state = evaluator.make_state()
+    state = evaluator.make_state(resident)
     scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
+    for task in resident:
+        scan.charge(task)
     while True:
         best_task, best_value = scan.best(state)
         if best_task is None:
@@ -476,9 +467,12 @@ def full_reconfiguration(
         if pool.is_empty():
             break
     if not pool.is_empty():
-        leftover = [t.task_id for t in pool.representatives()]
+        leftover = pool.representatives()
+        for task in leftover:
+            evaluator.task_rp(task)  # InfeasibleTaskError if no type fits it
+        examples = [t.task_id for t in leftover[:3]]
         raise RuntimeError(
-            f"{len(pool)} task(s) could not be packed (e.g. {leftover[:3]}); "
+            f"{len(pool)} task(s) could not be packed (e.g. {examples}); "
             "is some task infeasible on every instance type?"
         )
     if memo_key is not None:

@@ -27,7 +27,7 @@ from repro.core.evaluation import AssignmentEvaluator
 from repro.core.full_reconfig import (
     PackedInstance,
     PackMemo,
-    _ArgmaxScan,
+    _pack_one_instance,
     _TaskPool,
     full_reconfiguration,
     match_existing_instances,
@@ -59,23 +59,14 @@ def _fill_survivor(
     evaluator: AssignmentEvaluator,
 ) -> PackedInstance:
     """Offer subset tasks to a surviving instance's spare capacity."""
-    itype = survivor.instance_type
-    tasks = list(survivor.tasks)
-    state = evaluator.make_state(tasks)
-    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
-    for t in tasks:
-        scan.charge(t)
-    while True:
-        best_task, best_value = scan.best(state)
-        if best_task is None or best_value < state.value - _EPS:
-            break
-        pool.pop(best_task)
-        state.add(best_task)
-        tasks.append(best_task)
-        scan.charge(best_task)
-    if len(tasks) == len(survivor.tasks):
+    added, _ = _pack_one_instance(
+        survivor.instance_type, pool, evaluator, resident=survivor.tasks
+    )
+    if not added:
         return survivor
-    return PackedInstance(instance=survivor.instance, tasks=tuple(tasks))
+    return PackedInstance(
+        instance=survivor.instance, tasks=survivor.tasks + tuple(added)
+    )
 
 
 def partial_reconfiguration(

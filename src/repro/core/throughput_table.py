@@ -65,7 +65,6 @@ class CoLocationThroughputTable:
     _exact: dict[tuple[str, tuple[str, ...]], float] = field(
         default_factory=dict, repr=False
     )
-    _num_large_exact: int = field(default=0, repr=False)
     #: Memoized ``tput`` results keyed by the *given-order* neighbour
     #: tuple (so repeated lookups skip the sort and the pairwise product
     #: without changing per-ordering float behaviour); cleared whenever a
@@ -126,10 +125,7 @@ class CoLocationThroughputTable:
     # ------------------------------------------------------------------
     def _record(self, observation: TaskPlacementObservation, tput: float) -> None:
         tput = min(1.0, max(0.0, tput))
-        previous = self._exact.get(observation.key)
-        if observation.num_neighbours > 1 and previous is None:
-            self._num_large_exact += 1
-        if previous != tput:
+        if self._exact.get(observation.key) != tput:
             # Pairwise entries mirror the pair exacts, so any value change
             # here can shift arbitrary product estimates: drop the memo.
             self._tput_cache.clear()
@@ -207,10 +203,11 @@ class CoLocationThroughputTable:
         """Bulk-merge exact entries from a snapshot or another table.
 
         Every entry is routed through :meth:`_record`, so the pairwise
-        mirror, the lookup memo, and the :attr:`version` epoch behave
-        exactly as if each value had been observed online — a direct dict
-        merge here would silently skip the epoch bump and let downstream
-        caches (``TNRPCaches``, ``PackMemo``) serve stale throughputs.
+        store behind the product estimate, the lookup memo, and the
+        :attr:`version` epoch behave exactly as if each value had been
+        observed online — a direct dict merge here would silently skip
+        the epoch bump and let the caches keyed on it (the TNRP set-value
+        memo, ``PackMemo``) serve stale throughputs.
 
         Returns the number of value-changing entries merged.
         """
@@ -235,14 +232,6 @@ class CoLocationThroughputTable:
     # ------------------------------------------------------------------
     def num_exact_entries(self) -> int:
         return len(self._exact)
-
-    def has_large_exact_entries(self) -> bool:
-        """True if any exact entry covers a set of more than two tasks.
-
-        Pair entries mirror into the pairwise store, so pairwise-product
-        increments remain exact as long as this is False.
-        """
-        return self._num_large_exact > 0
 
     @property
     def version(self) -> int:

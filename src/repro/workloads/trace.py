@@ -53,15 +53,6 @@ class Trace:
     def num_tasks(self) -> int:
         return sum(j.num_tasks for j in self.jobs)
 
-    def duration_quantiles_hours(
-        self, qs: Sequence[float] = (0.5, 0.8, 0.95)
-    ) -> dict[float, float]:
-        durations = np.array([j.duration_hours for j in self.jobs])
-        return {q: float(np.quantile(durations, q)) for q in qs}
-
-    def mean_duration_hours(self) -> float:
-        return float(np.mean([j.duration_hours for j in self.jobs]))
-
     def gpu_demand_composition(self) -> dict[int, float]:
         """Fraction of jobs by per-task GPU demand (Table 8 shape)."""
         counts: dict[int, int] = {}

@@ -130,11 +130,19 @@ class TestPackStateConsistency:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.lists(st.sampled_from(workloads), min_size=1, max_size=7),
+        st.lists(
+            st.tuples(
+                st.sampled_from(workloads),
+                st.integers(min_value=1, max_value=3),  # job arity (§4.4)
+                st.sampled_from([1.0, 2.5, 4.0]),  # urgency
+            ),
+            min_size=1,
+            max_size=7,
+        ),
         st.booleans(),
     )
-    def test_incremental_matches_batch(self, names, with_exact, ):
-        """PackState increments must agree with set_value recomputation."""
+    def test_incremental_matches_batch(self, specs, with_exact):
+        """PackState increments equal set_value bit for bit."""
         from repro.cloud.catalog import ec2_catalog
 
         calc = ReservationPriceCalculator(ec2_catalog())
@@ -146,18 +154,21 @@ class TestPackStateConsistency:
             table.observe_single_task_job(
                 TaskPlacementObservation("ResNet18", ("GCN", "GPT2")), 0.6
             )
-        jobs = {}
-        tasks = []
-        for i, name in enumerate(names):
-            job = _job(name, (1, 4, 8), job_id=f"j{i}")
+        jobs, urgency, tasks = {}, {}, []
+        for i, (name, arity, u) in enumerate(specs):
+            job = _job(name, (1, 4, 8), num_tasks=arity, job_id=f"j{i}")
             jobs[job.job_id] = job
-            tasks.append(job.tasks[0])
-        ev = TNRPEvaluator(calc, table, jobs=jobs, multi_task_aware=True)
+            urgency[job.job_id] = u
+            tasks.extend(job.tasks)
+        ev = TNRPEvaluator(
+            calc, table, jobs=jobs, multi_task_aware=True, urgency=urgency
+        )
         state = ev.make_state()
         added = []
         for task in tasks:
             expected = ev.set_value(added + [task])
-            assert state.value_with(task) == pytest.approx(expected, rel=1e-9)
+            assert state.value_with(task) == expected
             state.add(task)
             added.append(task)
-            assert state.value == pytest.approx(ev.set_value(added), rel=1e-9)
+            assert state.value == ev.set_value(added)
+        assert ev.make_state(tasks).value == ev.set_value(tasks)

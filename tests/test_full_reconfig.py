@@ -8,7 +8,7 @@ from repro.cloud.catalog import ec2_catalog
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import tasks_fit_on_type
 from repro.cluster.task import make_job
-from repro.core import full_reconfig, partial_reconfig
+from repro.core import full_reconfig
 from repro.core.evaluation import RPEvaluator, TNRPEvaluator
 from repro.core.full_reconfig import (
     _ArgmaxScan,
@@ -372,7 +372,7 @@ class _ReferenceScan:
 
 
 def use_reference_scan(monkeypatch):
-    """Make both Algorithm 1 call sites build ``_ReferenceScan``.
+    """Make Algorithm 1's one scan call site build ``_ReferenceScan``.
 
     Returns a list that gains one entry per scan built from then on.
     """
@@ -383,7 +383,6 @@ def use_reference_scan(monkeypatch):
         return _ReferenceScan(pool, evaluator, capacity, family)
 
     monkeypatch.setattr(full_reconfig, "_ArgmaxScan", make)
-    monkeypatch.setattr(partial_reconfig, "_ArgmaxScan", make)
     return built
 
 
@@ -392,8 +391,9 @@ def _scan_picks(tasks, evaluator, itype, members=()):
     the reference pick and value at every step; return the picked task
     ids.
 
-    ``members`` pre-charge the instance as ``_fill_survivor`` does: they
-    seed the state and use capacity but are not in the pool.
+    ``members`` pre-charge the instance as ``_pack_one_instance``'s
+    ``resident`` tasks do: they seed the state and use capacity but are
+    not in the pool.
     """
     pool = _TaskPool(tasks, evaluator, True)
     state = evaluator.make_state(members)
@@ -488,8 +488,8 @@ class TestArgmaxScan:
         assert picks[0] == cand_a.task_id
 
     def test_exact_path_tie_breaks_on_value_rp_task_id(self):
-        # An exact entry for a three-task set disables the pairwise
-        # path.  Next to members {w1, w2} it values A (w0) at
+        # An exact entry for a three-task set overrides the pairwise
+        # product.  Next to members {w1, w2} it values A (w0) at
         # RP(B)/RP(A) throughput, so A, B and C tie on value and A wins
         # on RP; once A joins, B and C tie on value and RP, and the
         # higher task id (C) wins.
@@ -505,7 +505,6 @@ class TestArgmaxScan:
         ratio = calc.rp(cand_b) / calc.rp(cand_a)
         table = CoLocationThroughputTable(default_tput=1.0)
         table.sync({("w0", ("w1", "w2")): ratio})
-        assert table.has_large_exact_entries()
         ev = TNRPEvaluator(calc, table, jobs={})
         state = ev.make_state(members)
         values = {state.value_with(t) for t in (cand_a, cand_b, cand_c)}
@@ -553,11 +552,8 @@ class TestArgmaxScan:
                     TaskPlacementObservation(a, (b,)), tput
                 )
         if kind == "tnrp-exact" or (kind == "deadline" and deadline_exact):
-            # A three-task entry forces the exact path (§4.3).
+            # A three-task entry overrides the pairwise product (§4.3).
             table.sync({("wa", ("wb", "wc")): 0.5})
-        assert table.has_large_exact_entries() == (
-            kind == "tnrp-exact" or (kind == "deadline" and deadline_exact)
-        )
         mapping, urgency, tasks = {}, {}, []
         for i, (workload, demand, arity, u) in enumerate(jobs):
             job = make_job(
@@ -602,7 +598,7 @@ def _layout(packed):
 
 class TestAlgorithmOneAgainstReference:
     """Whole packings with ``_ArgmaxScan`` swapped for the cache-free
-    ``_ReferenceScan`` in both call sites: the same tasks, in the same
+    ``_ReferenceScan`` at its one call site: the same tasks, in the same
     order, at the same value."""
 
     @pytest.mark.parametrize("kind", ["rp", "tnrp", "deadline"])

@@ -1,13 +1,21 @@
 """Cross-scheduler integration invariants on full simulations."""
 
+import re
+
 import pytest
 
 from repro.analysis.comparison import (
     compare_schedulers,
     standard_scheduler_factories,
 )
+from repro.cluster.resources import ResourceVector
+from repro.cluster.task import make_job
+from repro.core.reservation_price import InfeasibleTaskError
+from repro.sim import run_scenario
+from repro.sim.batch import Scenario
 from repro.workloads.alibaba import synthesize_alibaba_trace
 from repro.workloads.synthetic import synthetic_trace
+from repro.workloads.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +90,14 @@ class TestSyntheticTraceShape:
             },
         )
         assert comparison.normalized_cost("Eva") <= 1.02
+
+
+@pytest.mark.parametrize("scheduler", ["eva", "no-packing"])
+def test_task_no_type_fits_raises_infeasible_task_error(scheduler):
+    """A task no instance type can host fails with the RP calculator's
+    error under Eva too, not with Algorithm 1's packing failure."""
+    job = make_job("big", {"*": ResourceVector(64, 8, 32)}, 1.0, job_id="big-1")
+    trace = Trace(name="big", jobs=(job,))
+    message = "task big-1/t0 (big) fits no instance type; max demand [64g 8c 32G]"
+    with pytest.raises(InfeasibleTaskError, match=re.escape(message)):
+        run_scenario(Scenario(scheduler, trace, seed=0))

@@ -158,13 +158,13 @@ class TestCatalogTokenKeying:
         calc_a = ReservationPriceCalculator(example_catalog)
         ev_a = TNRPEvaluator(calc_a, table, jobs=jobs, caches=caches)
         value_a = ev_a.tnrp_from_tput(task, 0.5)
-        assert caches.tnrp and caches.job_rp  # memos populated
+        assert caches.tnrp  # memo populated
 
         calc_b = ReservationPriceCalculator(self._repriced(example_catalog))
         ev_b = TNRPEvaluator(calc_b, table, jobs=jobs, caches=caches)
         # Construction rebinds the shared caches to the new catalog token
         # and drops every RP-derived entry.
-        assert not caches.tnrp and not caches.job_rp
+        assert not caches.tnrp
         value_b = ev_b.tnrp_from_tput(task, 0.5)
         assert value_b == pytest.approx(2.0 * value_a)
         # Rebinding back also invalidates (no cross-catalog survivors).

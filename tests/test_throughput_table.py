@@ -41,14 +41,6 @@ class TestLookup:
         assert table.tput("A", ["B", "C"]) == 0.5
         assert table.tput("A", ["C", "B"]) == 0.5  # order-insensitive
 
-    def test_has_large_exact_entries(self):
-        table = CoLocationThroughputTable()
-        assert not table.has_large_exact_entries()
-        table.observe_single_task_job(obs("A", "B"), 0.9)
-        assert not table.has_large_exact_entries()  # pairs mirror pairwise
-        table.observe_single_task_job(obs("A", "B", "C"), 0.9)
-        assert table.has_large_exact_entries()
-
 
 class TestSingleTaskUpdates:
     def test_standalone_observation_ignored(self):
