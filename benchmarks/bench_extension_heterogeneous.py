@@ -16,7 +16,6 @@ from repro.core.heterogeneous import (
     FamilySpeedProfile,
     HeterogeneousEvaluator,
     HeterogeneousRPCalculator,
-    heterogeneous_full_reconfiguration,
 )
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.throughput_table import CoLocationThroughputTable
@@ -49,7 +48,7 @@ def _run():
         table=CoLocationThroughputTable(default_tput=1.0),
         jobs={},
     )
-    het_packed = heterogeneous_full_reconfiguration(tasks, catalog, het_ev)
+    het_packed = full_reconfiguration(tasks, catalog, het_ev)
     het_cost = configuration_cost(het_packed)
     # Dollars per unit of work: each task on family f delivers speed(f)
     # units per hour.

@@ -35,7 +35,6 @@ from repro.core.heterogeneous import (
     FamilySpeedProfile,
     HeterogeneousEvaluator,
     HeterogeneousRPCalculator,
-    heterogeneous_full_reconfiguration,
 )
 from repro.core.deadline import DeadlineUrgency
 from repro.core.failure import FailureHazard
@@ -235,7 +234,6 @@ __all__ = [
     "FamilySpeedProfile",
     "HeterogeneousEvaluator",
     "HeterogeneousRPCalculator",
-    "heterogeneous_full_reconfiguration",
     "ILPResult",
     "ilp_schedule",
     "JobThroughputReport",

@@ -24,6 +24,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.cluster.instance import InstanceType
 from repro.cluster.task import Job, Task
 from repro.core.reservation_price import ReservationPriceCalculator, _demand_signature
 from repro.core.throughput_table import CoLocationThroughputTable
@@ -78,6 +79,17 @@ class AssignmentEvaluator(ABC):
         argmax evaluates one representative per group.
         """
         return (task.workload, _demand_signature(task))
+
+    def for_type(self, itype: InstanceType) -> "AssignmentEvaluator":
+        """The evaluator Algorithm 1 uses while packing ``itype``.
+
+        ``self`` by default.  An evaluator whose values depend on the
+        type being packed (the §4.2 heterogeneous extension binds family
+        speeds) returns a bound copy; it must report no
+        :meth:`cache_token`, so :class:`~repro.core.full_reconfig.PackMemo`
+        never sees it.
+        """
+        return self
 
     def cache_token(self) -> tuple | None:
         """Hashable token identifying this evaluator's mutable inputs.
@@ -195,9 +207,12 @@ class _TNRPPackState(PackState):
     ``value_with(τ)`` is ``set_value(members + [τ])`` term by term (see
     :meth:`scan_entry`), and ``add(τ)`` commits exactly that value, so a
     pairwise-product estimate and an exact table entry take one path.
+    Serves any evaluator whose ``set_value`` sums ``tnrp_from_tput``
+    over the set's ``table`` throughputs: :class:`TNRPEvaluator` and
+    the heterogeneous evaluator (:mod:`repro.core.heterogeneous`).
     """
 
-    def __init__(self, evaluator: "TNRPEvaluator", tasks: Sequence[Task]):
+    def __init__(self, evaluator: AssignmentEvaluator, tasks: Sequence[Task]):
         self._ev = evaluator
         self._members: list[Task] = []
         self._workloads: list[str] = []

@@ -401,6 +401,11 @@ def full_reconfiguration(
     ``memo`` optionally reuses identical packings across calls (see
     :class:`PackMemo`); it only engages when the evaluator reports a
     valid :meth:`~AssignmentEvaluator.cache_token`.
+
+    Each instance type is packed with ``evaluator.for_type(itype)``
+    (``evaluator`` itself unless its values depend on the type, as under
+    the §4.2 heterogeneous extension).  A task no type can host raises
+    :class:`~repro.core.reservation_price.InfeasibleTaskError`.
     """
     if cost_margin < 0:
         raise ValueError("cost_margin must be >= 0")
@@ -431,9 +436,10 @@ def full_reconfiguration(
     )
     packed: list[PackedInstance] = []
     for itype in types_desc:
+        bound = evaluator.for_type(itype)
         while not pool.is_empty():
             chosen, value = _pack_one_instance(
-                itype, pool, evaluator, memo=memo, token=token
+                itype, pool, bound, memo=memo, token=token
             )
             threshold = itype.hourly_cost * (
                 1.0 + (cost_margin if len(chosen) > 1 else 0.0)
@@ -448,7 +454,7 @@ def full_reconfiguration(
                 len(chosen) > 1
                 and cost_margin > 0
                 and value >= itype.hourly_cost - _EPS
-                and evaluator.set_value([chosen[0]]) >= itype.hourly_cost - _EPS
+                and bound.set_value([chosen[0]]) >= itype.hourly_cost - _EPS
             ):
                 # The margin (not cost-efficiency) blocked this
                 # co-location; place the anchor standalone so tasks whose

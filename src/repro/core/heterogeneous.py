@@ -20,9 +20,11 @@ family ``f`` (1.0 on its reference family):
   contributes what it would be worth at the rate it actually achieves
   there.
 
-:class:`HeterogeneousEvaluator` plugs into Algorithm 1 unchanged; with all
-speeds equal to 1.0 it reduces exactly to the homogeneous TNRP evaluator
-(property-tested).
+:class:`HeterogeneousEvaluator` plugs into Algorithm 1 unchanged:
+:func:`~repro.core.full_reconfig.full_reconfiguration` packs each type
+with :meth:`HeterogeneousEvaluator.for_type`, the evaluator bound to that
+type's family.  With all speeds equal to 1.0 it packs exactly as the
+homogeneous TNRP evaluator (tested).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Mapping, Sequence
 
 from repro.cluster.instance import InstanceType
 from repro.cluster.task import Job, Task
-from repro.core.evaluation import AssignmentEvaluator, PackState
+from repro.core.evaluation import AssignmentEvaluator, PackState, _TNRPPackState
 from repro.core.reservation_price import (
     InfeasibleTaskError,
     ReservationPriceCalculator,
@@ -115,34 +117,16 @@ class HeterogeneousRPCalculator:
         return sum(self.rp(t) for t in tasks)
 
 
-class _HetPackState(PackState):
-    """Recomputing pack state (heterogeneous sets stay small in practice)."""
-
-    def __init__(self, evaluator: "HeterogeneousEvaluator", tasks: Sequence[Task]):
-        self._ev = evaluator
-        self._members: list[Task] = list(tasks)
-        self._value = evaluator.set_value(self._members)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def value_with(self, task: Task) -> float:
-        return self._ev.set_value(self._members + [task])
-
-    def add(self, task: Task) -> None:
-        self._members.append(task)
-        self._value = self._ev.set_value(self._members)
-
-
 @dataclass
 class HeterogeneousEvaluator(AssignmentEvaluator):
     """TNRP with family-dependent speeds, for a fixed instance family.
 
     Algorithm 1 evaluates candidate sets per instance type; this evaluator
     is *bound to one family* (the type currently being packed), so the
-    family-speed factor is known.  Use :meth:`for_family` to derive bound
-    evaluators from a family-agnostic template.
+    family-speed factor is known.  :meth:`for_type` (which Algorithm 1
+    calls per type) and :meth:`for_family` derive bound evaluators from a
+    family-agnostic template.  It reports no ``cache_token``, so
+    ``PackMemo`` never memoizes its packings.
     """
 
     calculator: HeterogeneousRPCalculator
@@ -160,13 +144,18 @@ class HeterogeneousEvaluator(AssignmentEvaluator):
             multi_task_aware=self.multi_task_aware,
         )
 
+    def for_type(self, itype: InstanceType) -> "HeterogeneousEvaluator":
+        return self.for_family(itype.family)
+
     def task_rp(self, task: Task) -> float:
         return self.calculator.rp(task)
 
     def _speed(self, task: Task) -> float:
         return self.calculator.profile.speed(task.workload, self.family)
 
-    def _task_value(self, task: Task, tput: float) -> float:
+    def tnrp_from_tput(self, task: Task, tput: float) -> float:
+        """The task's value at co-location throughput ``tput`` on this
+        family (the TNRP term :class:`_TNRPPackState` sums)."""
         rate = tput * self._speed(task)
         rp = self.calculator.rp(task)
         if self.multi_task_aware:
@@ -184,58 +173,16 @@ class HeterogeneousEvaluator(AssignmentEvaluator):
         for idx, task in enumerate(tasks):
             neighbours = workloads[:idx] + workloads[idx + 1 :]
             tput = self.table.tput(task.workload, neighbours)
-            total += self._task_value(task, tput)
+            total += self.tnrp_from_tput(task, tput)
         return total
 
     def make_state(self, tasks: Sequence[Task] = ()) -> PackState:
-        return _HetPackState(self, tasks)
+        return _TNRPPackState(self, tasks)
 
     def group_key(self, task: Task) -> tuple:
         job = self.jobs.get(task.job_id) if self.multi_task_aware else None
         arity = job.num_tasks if job is not None else 1
         return (task.workload, _demand_signature(task), arity)
-
-
-def heterogeneous_full_reconfiguration(
-    tasks: Sequence[Task],
-    instance_types: Sequence[InstanceType],
-    evaluator: HeterogeneousEvaluator,
-    group_identical: bool = True,
-):
-    """Algorithm 1 with per-family evaluator binding.
-
-    Identical to :func:`repro.core.full_reconfig.full_reconfiguration`
-    except the evaluator is re-bound to each instance type's family as
-    the outer loop walks the catalog, so speeds apply correctly.
-    """
-    from repro.core.full_reconfig import PackedInstance, _TaskPool, _pack_one_instance
-    from repro.cluster.instance import fresh_instance
-
-    pool = _TaskPool(tasks, evaluator, group_identical)
-    types_desc = sorted(
-        (it for it in instance_types if not it.is_ghost),
-        key=lambda it: (-it.hourly_cost, it.name),
-    )
-    packed: list[PackedInstance] = []
-    for itype in types_desc:
-        bound = evaluator.for_family(itype.family)
-        while not pool.is_empty():
-            chosen, value = _pack_one_instance(itype, pool, bound)
-            if chosen and value >= itype.hourly_cost - 1e-9:
-                packed.append(
-                    PackedInstance(instance=fresh_instance(itype), tasks=tuple(chosen))
-                )
-            else:
-                pool.push_back(chosen)
-                break
-        if pool.is_empty():
-            break
-    if not pool.is_empty():
-        raise RuntimeError(
-            f"{len(pool)} task(s) could not be packed under the "
-            "heterogeneous evaluator"
-        )
-    return packed
 
 
 def reduces_to_homogeneous(

@@ -74,7 +74,6 @@ def partial_reconfiguration(
     unassigned: Sequence[Task],
     instance_types: Sequence,
     evaluator: AssignmentEvaluator,
-    group_identical: bool = True,
     cost_margin: float = 0.0,
     memo: PackMemo | None = None,
 ) -> PartialReconfigResult:
@@ -85,7 +84,6 @@ def partial_reconfiguration(
         unassigned: Tasks of newly submitted jobs awaiting placement.
         instance_types: The provisioning catalog.
         evaluator: RP or TNRP assignment evaluator.
-        group_identical: See :func:`full_reconfiguration`.
         cost_margin: JCT-aware packing margin, applied to new packings
             only (the keep-or-drain test for existing instances uses the
             plain cost so the margin does not force churn).
@@ -114,7 +112,7 @@ def partial_reconfiguration(
 
     # Stage 1 — fill surviving instances' spare capacity, most expensive
     # survivors first (mirrors Algorithm 1's type ordering).
-    pool = _TaskPool(subset, evaluator, group_identical)
+    pool = _TaskPool(subset, evaluator, group_identical=True)
     filled: list[PackedInstance] = []
     for survivor in sorted(
         survivors, key=lambda p: (-p.hourly_cost, p.instance.instance_id)
@@ -131,7 +129,6 @@ def partial_reconfiguration(
         leftovers,
         instance_types,
         evaluator,
-        group_identical=group_identical,
         cost_margin=cost_margin,
         memo=memo,
     )

@@ -78,7 +78,6 @@ class EvaConfig:
         default_tput: The table's default pairwise throughput ``t``
             (0.95 in all paper experiments; smaller packs more
             conservatively, §4.3).
-        group_identical: Algorithm 1 candidate grouping (DESIGN.md §4.2).
         efficiency_margin: JCT-aware packing margin (§6.3 future work):
             co-locations must beat instance cost by this fraction.  0.0
             reproduces the paper; higher values trade savings for JCT.
@@ -89,7 +88,6 @@ class EvaConfig:
     enable_full: bool = True
     enable_partial: bool = True
     default_tput: float = 0.95
-    group_identical: bool = True
     efficiency_margin: float = 0.0
 
     def __post_init__(self) -> None:
@@ -529,7 +527,6 @@ class EvaScheduler(Scheduler):
             list(snapshot.tasks.values()),
             self.catalog,
             evaluator,
-            group_identical=self.config.group_identical,
             cost_margin=self.config.efficiency_margin,
             memo=self._pack_memo,
         )
@@ -553,7 +550,6 @@ class EvaScheduler(Scheduler):
             snapshot.unassigned_tasks(),
             self.catalog,
             evaluator,
-            group_identical=self.config.group_identical,
             cost_margin=self.config.efficiency_margin,
             memo=self._pack_memo,
         )

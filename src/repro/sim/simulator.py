@@ -26,6 +26,7 @@ import numpy as np
 from repro.cloud.delays import DelayModel
 from repro.cloud.market import MarketConfig, MarketRuntime
 from repro.cloud.provider import SimulatedCloud
+from repro.cluster.instance import Instance
 from repro.cluster.state import ClusterSnapshot, InstanceState
 from repro.cluster.task import Job, Task
 from repro.core.interfaces import JobThroughputReport, Scheduler
@@ -63,6 +64,10 @@ from repro.workloads.trace import Trace
 
 #: Default scheduling period (§3 suggests e.g. 5 minutes).
 DEFAULT_PERIOD_S = 300.0
+
+#: Safety bound on simulated time (ten years): an event past it raises
+#: :class:`SimulationError`.
+MAX_SIMULATED_S = 24.0 * 365 * 10 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -301,7 +306,7 @@ class _JobRT:
 
 @dataclass
 class _InstanceRT:
-    instance_state_instance: object  # Instance; kept loose to avoid import cycle
+    instance: Instance
     ready_time_s: float
     assigned: set[str] = field(default_factory=set)
     alive: bool = True
@@ -327,14 +332,6 @@ class _InstanceRT:
     #: process-global counter, so embedding one would break run-to-run
     #: and serial-vs-parallel byte identity.
     launch_index: int = 0
-
-    @property
-    def instance(self):
-        return self.instance_state_instance
-
-    @property
-    def instance_id(self) -> str:
-        return self.instance.instance_id
 
     def invalidate(self) -> None:
         self.running_cache = None
@@ -383,7 +380,7 @@ class _SimEnvironment(ClusterEnvironment):
             spot=spot_launch,
         )
         rt = _InstanceRT(
-            instance_state_instance=instance,
+            instance=instance,
             ready_time_s=receipt.ready_time_s,
             launch_index=sim._launch_seq,
             spot=spot_launch,
@@ -503,44 +500,16 @@ class _SimEnvironment(ClusterEnvironment):
     def migrate_task(self, action: MigrateTask) -> None:
         sim = self._sim
         task_rt = sim._tasks[action.task_id]
-        task = task_rt.task
-        src_rt = sim._instances[action.src_instance_id]
-        src_rt.assigned.discard(action.task_id)
-        src_rt.invalidate()
-        if src_rt.alive:
-            sim._acct.task_unassigned(task, src_rt.instance.instance_type)
-        checkpoint = sim.delay_model.checkpoint_s(task.migration.checkpoint_s)
-        self._hold_until[action.src_instance_id] = max(
-            self._hold_until.get(action.src_instance_id, 0.0),
-            sim.now_s + checkpoint,
-        )
+        checkpoint_done = self._checkpoint_off(task_rt, action.src_instance_id)
         sim._migrations += 1
         self._start_task(
-            task_rt,
-            action.dst_instance_id,
-            checkpoint_done=sim.now_s + checkpoint,
+            task_rt, action.dst_instance_id, checkpoint_done=checkpoint_done
         )
 
     def unassign_task(self, action: UnassignTask) -> None:
-        sim = self._sim
-        task_rt = sim._tasks[action.task_id]
-        task = task_rt.task
-        src_rt = sim._instances[action.instance_id]
-        src_rt.assigned.discard(action.task_id)
-        src_rt.invalidate()
-        if src_rt.alive:
-            sim._acct.task_unassigned(task, src_rt.instance.instance_type)
-        # The checkpoint keeps the task's progress; the source must stay
-        # up (and billed) until it completes, like a migration's source.
-        checkpoint = sim.delay_model.checkpoint_s(task.migration.checkpoint_s)
-        self._hold_until[action.instance_id] = max(
-            self._hold_until.get(action.instance_id, 0.0),
-            sim.now_s + checkpoint,
-        )
-        task_rt.status = TaskStatus.QUEUED
-        task_rt.instance_id = None
-        task_rt.resume_version += 1
-        sim._placement_epoch += 1
+        task_rt = self._sim._tasks[action.task_id]
+        self._checkpoint_off(task_rt, action.instance_id)
+        self._sim._requeue(task_rt)
 
     def terminate_instance(self, action: TerminateInstance) -> None:
         sim = self._sim
@@ -552,16 +521,22 @@ class _SimEnvironment(ClusterEnvironment):
             raise SimulationError(
                 f"terminating instance {iid} with assigned tasks {rt.assigned}"
             )
-        rt.alive = False
-        sim._placement_epoch += 1
-        sim._acct.instance_down(rt.instance.instance_type)
-        when = self._hold_until.get(iid, sim.now_s)
-        if when <= sim.now_s:
-            sim.cloud.terminate(iid, sim.now_s)
-            del sim._instances[iid]
-        else:
-            sim._terminate_holds[iid] = when
-            sim.queue.push(Event(when, EventKind.INSTANCE_TERMINATE, iid))
+        sim._retire(rt, self._hold_until.get(iid))
+
+    def _checkpoint_off(self, task_rt: _TaskRT, src: str) -> float:
+        """Checkpoint a task off ``src`` (migration or unassign).
+
+        The checkpoint keeps the task's progress; ``src`` must stay up
+        (and billed) until it completes, so a termination of ``src`` in
+        this decision is held until then.  Returns the completion time.
+        """
+        sim = self._sim
+        task = task_rt.task
+        sim._detach(task, sim._instances[src])
+        checkpoint = sim.delay_model.checkpoint_s(task.migration.checkpoint_s)
+        done = sim.now_s + checkpoint
+        self._hold_until[src] = max(self._hold_until.get(src, 0.0), done)
+        return done
 
     def _start_task(
         self, task_rt: _TaskRT, dst: str, checkpoint_done: float
@@ -609,7 +584,6 @@ class ClusterSimulator:
         period_s: Scheduling period.
         validate: Validate every target configuration against its
             snapshot (slower; on by default in tests).
-        max_sim_hours: Safety bound on simulated time.
         spot: Optional spot-market configuration (discounted, preemptible
             instances).
         deadline_warning_s: Horizon of the
@@ -641,7 +615,6 @@ class ClusterSimulator:
         delay_model: DelayModel | None = None,
         period_s: float = DEFAULT_PERIOD_S,
         validate: bool = False,
-        max_sim_hours: float = 24.0 * 365 * 10,
         spot: SpotConfig | None = None,
         deadline_warning_s: float | None = None,
         failures: FailureConfig | None = None,
@@ -657,7 +630,6 @@ class ClusterSimulator:
         self.delay_model = delay_model or DelayModel()
         self.period_s = period_s
         self.validate = validate
-        self.max_sim_hours = max_sim_hours
         self.spot = spot or SpotConfig()
         self._spot_rng = np.random.default_rng(self.spot.seed)
         self._preemptions = 0
@@ -781,9 +753,9 @@ class ClusterSimulator:
 
         while self.queue:
             event = self.queue.pop()
-            if event.time_s > self.max_sim_hours * 3600.0:
+            if event.time_s > MAX_SIMULATED_S:
                 raise SimulationError(
-                    f"simulation exceeded {self.max_sim_hours} hours"
+                    f"simulation exceeded {MAX_SIMULATED_S / 3600.0} hours"
                 )
             self._account_until(event.time_s)
             self.now_s = event.time_s
@@ -1051,6 +1023,73 @@ class ClusterSimulator:
         return self._reports_cache
 
     # ------------------------------------------------------------------
+    # Cluster-state transitions: every event handler and environment
+    # action changes task and instance state through these, so each
+    # ClusterAccounting update has one call site.
+    # ------------------------------------------------------------------
+    def _detach(self, task: Task, inst: _InstanceRT) -> None:
+        """``task`` leaves ``inst`` (still billed if it is alive)."""
+        inst.assigned.discard(task.task_id)
+        inst.invalidate()
+        if inst.alive:
+            self._acct.task_unassigned(task, inst.instance.instance_type)
+        self._placement_epoch += 1
+
+    def _requeue(self, task_rt: _TaskRT) -> None:
+        """The task waits for a new placement; a pending resume goes stale."""
+        task_rt.status = TaskStatus.QUEUED
+        task_rt.instance_id = None
+        task_rt.resume_version += 1
+        self._placement_epoch += 1
+
+    def _retire(self, inst: _InstanceRT, hold_until_s: float | None = None) -> None:
+        """``inst`` goes down: it leaves the cluster now, and its billing
+        stops now or, under a checkpoint hold, at ``hold_until_s``."""
+        inst.alive = False
+        self._placement_epoch += 1
+        self._acct.instance_down(inst.instance.instance_type)
+        iid = inst.instance.instance_id
+        if hold_until_s is None or hold_until_s <= self.now_s:
+            self.cloud.terminate(iid, self.now_s)
+            del self._instances[iid]
+        else:
+            self._terminate_holds[iid] = hold_until_s
+            self.queue.push(Event(hold_until_s, EventKind.INSTANCE_TERMINATE, iid))
+
+    def _lose_instance(self, inst: _InstanceRT) -> list[_TaskRT]:
+        """Preemption, crash or domain shock: every task on ``inst``
+        returns to the queue (ascending task id) and ``inst`` retires at
+        once.  Returns the requeued tasks."""
+        lost: list[_TaskRT] = []
+        for task_id in sorted(inst.assigned):
+            task_rt = self._tasks.get(task_id)
+            if task_rt is None:
+                continue
+            self._detach(task_rt.task, inst)
+            self._requeue(task_rt)
+            lost.append(task_rt)
+        self._retire(inst)
+        return lost
+
+    def _rerate(self, inst: _InstanceRT, multiplier: str, value: float) -> None:
+        """One of ``inst``'s throughput multipliers (``slowdown`` or
+        ``credit_mult``) becomes ``value``: progress is integrated at the
+        old rates, a ``StragglerReport`` carries ``value`` to the next
+        round (which this arms), and the jobs on ``inst`` are re-rated."""
+        iid = inst.instance.instance_id
+        affected = self._jobs_sharing_instance(iid)
+        self._advance_all(affected)
+        setattr(inst, multiplier, value)
+        # Reported rates are placement-visible state: bump the epoch so
+        # snapshot/report caches rebuild with the new throughput.
+        self._placement_epoch += 1
+        self._pending_obs.append(
+            StragglerReport(instance_id=iid, time_s=self.now_s, slowdown=value)
+        )
+        self._refresh_rates(affected)
+        self._ensure_round_scheduled()
+
+    # ------------------------------------------------------------------
     # Task / job / instance events
     # ------------------------------------------------------------------
     def _on_task_ready(self, task_id: str, version: int) -> None:
@@ -1097,15 +1136,9 @@ class ClusterSimulator:
             iid = task_rt.instance_id
             if iid is not None and iid in self._instances:
                 inst = self._instances[iid]
-                inst.assigned.discard(task.task_id)
-                inst.invalidate()
-                if inst.alive:
-                    self._acct.task_unassigned(task, inst.instance.instance_type)
+                self._detach(task, inst)
                 if not inst.assigned and inst.alive:
-                    inst.alive = False
-                    self._acct.instance_down(inst.instance.instance_type)
-                    self.cloud.terminate(iid, self.now_s)
-                    del self._instances[iid]
+                    self._retire(inst)
             del self._tasks[task.task_id]
         self._outcomes.append(
             JobOutcome(
@@ -1164,21 +1197,7 @@ class ClusterSimulator:
             return  # already terminated; stale preemption draw
         affected = self._jobs_sharing_instance(instance_id)
         self._advance_all(affected)
-        for task_id in sorted(rt.assigned):
-            task_rt = self._tasks.get(task_id)
-            if task_rt is None:
-                continue
-            self._acct.task_unassigned(task_rt.task, rt.instance.instance_type)
-            task_rt.status = TaskStatus.QUEUED
-            task_rt.instance_id = None
-            task_rt.resume_version += 1
-        rt.assigned.clear()
-        rt.invalidate()
-        rt.alive = False
-        self._placement_epoch += 1
-        self._acct.instance_down(rt.instance.instance_type)
-        self.cloud.terminate(instance_id, self.now_s)
-        del self._instances[instance_id]
+        self._lose_instance(rt)
         self._preemptions += 1
         self._refresh_rates(affected)
         self._ensure_round_scheduled()
@@ -1244,17 +1263,9 @@ class ClusterSimulator:
         retry = self.failures.retry
         affected = self._jobs_sharing_instance(instance_id)
         self._advance_all(affected)
-        tasks_lost = 0
-        for task_id in sorted(rt.assigned):
-            task_rt = self._tasks.get(task_id)
-            if task_rt is None:
-                continue
-            self._acct.task_unassigned(task_rt.task, rt.instance.instance_type)
-            task_rt.status = TaskStatus.QUEUED
-            task_rt.instance_id = None
-            task_rt.resume_version += 1
+        lost_tasks = self._lose_instance(rt)
+        for task_rt in lost_tasks:
             task_rt.failures += 1
-            tasks_lost += 1
             self._acct.task_restarted()
             if retry.backoff_base_s > 0:
                 delay = min(
@@ -1271,29 +1282,22 @@ class ClusterSimulator:
                 continue
             lost = job_rt.work_done_h - job_rt.ckpt_work_h
             if lost > 0.0:
-                # The un-checkpointed progress is gone; the task-level
-                # resume_version bump above makes the loss observable as
-                # real re-execution, not just bookkeeping.
+                # The un-checkpointed progress is gone; the requeue's
+                # resume_version bump makes the loss observable as real
+                # re-execution, not just bookkeeping.
                 job_rt.work_done_h = job_rt.ckpt_work_h
                 self._acct.job_work_lost(lost)
                 job_losses.append((jid, lost))
             if job_rt.outage_start_s is None:
                 job_rt.outage_start_s = self.now_s
-        rt.assigned.clear()
-        rt.invalidate()
-        rt.alive = False
-        self._placement_epoch += 1
-        self._acct.instance_down(rt.instance.instance_type)
         self._acct.instance_failed()
-        self.cloud.terminate(instance_id, self.now_s)
-        del self._instances[instance_id]
         self._failure_outcomes.append(
             FailureOutcome(
                 instance_index=rt.launch_index,
                 time_s=self.now_s,
                 failure_domain=domain,
                 kind=kind,
-                tasks_lost=tasks_lost,
+                tasks_lost=len(lost_tasks),
                 job_losses=tuple(job_losses),
             )
         )
@@ -1311,12 +1315,6 @@ class ClusterSimulator:
         rt = self._instances.get(instance_id)
         if rt is None or not rt.alive:
             return  # stale straggler draw
-        affected = self._jobs_sharing_instance(instance_id)
-        self._advance_all(affected)
-        rt.slowdown = factor
-        # Reported rates are placement-visible state: bump the epoch so
-        # snapshot/report caches rebuild with the degraded throughput.
-        self._placement_epoch += 1
         self.queue.push(
             Event(
                 self.now_s + self.failures.straggler_duration_s,
@@ -1324,30 +1322,14 @@ class ClusterSimulator:
                 instance_id,
             )
         )
-        self._pending_obs.append(
-            StragglerReport(
-                instance_id=instance_id, time_s=self.now_s, slowdown=factor
-            )
-        )
-        self._refresh_rates(affected)
-        self._ensure_round_scheduled()
+        self._rerate(rt, "slowdown", factor)
 
     def _on_slowdown_end(self, instance_id: str) -> None:
         """The straggler recovers; a ``slowdown=1.0`` report announces it."""
         rt = self._instances.get(instance_id)
         if rt is None or not rt.alive or rt.slowdown == 1.0:
             return
-        affected = self._jobs_sharing_instance(instance_id)
-        self._advance_all(affected)
-        rt.slowdown = 1.0
-        self._placement_epoch += 1
-        self._pending_obs.append(
-            StragglerReport(
-                instance_id=instance_id, time_s=self.now_s, slowdown=1.0
-            )
-        )
-        self._refresh_rates(affected)
-        self._ensure_round_scheduled()
+        self._rerate(rt, "slowdown", 1.0)
 
     def _on_price_change(self, pool_index: int) -> None:
         """A pool's price segment boundary: refresh, re-rate, re-arm.
@@ -1398,20 +1380,8 @@ class ClusterSimulator:
         rt = self._instances.get(instance_id)
         if rt is None or not rt.alive or rt.credit_mult != 1.0:
             return  # stale draw: the instance died first, or already burnt
-        affected = self._jobs_sharing_instance(instance_id)
-        self._advance_all(affected)
-        rt.credit_mult = self.market.credits.baseline_fraction
-        self._placement_epoch += 1
         self._credit_exhaustions += 1
-        self._pending_obs.append(
-            StragglerReport(
-                instance_id=instance_id,
-                time_s=self.now_s,
-                slowdown=rt.credit_mult,
-            )
-        )
-        self._refresh_rates(affected)
-        self._ensure_round_scheduled()
+        self._rerate(rt, "credit_mult", self.market.credits.baseline_fraction)
 
     def _on_instance_terminate(self, instance_id: str) -> None:
         when = self._terminate_holds.pop(instance_id, None)
@@ -1428,11 +1398,9 @@ class ClusterSimulator:
                 self._account_until(event.time_s)
                 self.now_s = max(self.now_s, event.time_s)
                 self._on_instance_terminate(event.payload)
-        for iid, rt in sorted(self._instances.items()):
+        for _, rt in sorted(self._instances.items()):
             if rt.alive:
-                rt.alive = False
-                self._acct.instance_down(rt.instance.instance_type)
-                self.cloud.terminate(iid, self.now_s)
+                self._retire(rt)
         self._instances.clear()
 
     # ------------------------------------------------------------------

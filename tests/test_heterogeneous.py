@@ -8,11 +8,12 @@ from repro.cloud.catalog import ec2_catalog
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import tasks_fit_on_type
 from repro.cluster.task import make_job
+from repro.core.evaluation import TNRPEvaluator
+from repro.core.full_reconfig import full_reconfiguration
 from repro.core.heterogeneous import (
     FamilySpeedProfile,
     HeterogeneousEvaluator,
     HeterogeneousRPCalculator,
-    heterogeneous_full_reconfiguration,
     reduces_to_homogeneous,
 )
 from repro.core.reservation_price import (
@@ -94,7 +95,7 @@ class TestHeterogeneousPacking:
     def test_packing_invariants(self, catalog):
         tasks = microbench_task_pool(50, seed=2)
         ev = self._evaluator(catalog)
-        packed = heterogeneous_full_reconfiguration(tasks, catalog, ev)
+        packed = full_reconfiguration(tasks, catalog, ev)
         assigned = sorted(t.task_id for p in packed for t in p.tasks)
         assert assigned == sorted(t.task_id for t in tasks)
         for p in packed:
@@ -102,26 +103,41 @@ class TestHeterogeneousPacking:
             bound = ev.for_family(p.instance_type.family)
             assert bound.set_value(list(p.tasks)) >= p.hourly_cost - 1e-6
 
-    def test_unit_speeds_match_homogeneous_cost(self, catalog):
-        from repro.core.evaluation import TNRPEvaluator
-        from repro.core.full_reconfig import (
-            configuration_cost,
-            full_reconfiguration,
-        )
-
-        tasks = microbench_task_pool(40, seed=3)
-        het_packed = heterogeneous_full_reconfiguration(
-            tasks, catalog, self._evaluator(catalog)
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("default_tput", [1.0, 0.95])
+    def test_unit_speeds_match_homogeneous_cost(self, catalog, seed, default_tput):
+        """With unit speeds the heterogeneous evaluator packs exactly as
+        homogeneous TNRP: same types, same task sets, same order."""
+        tasks = microbench_task_pool(40, seed=seed)
+        het_ev = HeterogeneousEvaluator(
+            calculator=HeterogeneousRPCalculator(catalog),
+            table=CoLocationThroughputTable(default_tput=default_tput),
+            jobs={},
         )
         hom_ev = TNRPEvaluator(
             ReservationPriceCalculator(catalog),
-            CoLocationThroughputTable(default_tput=1.0),
+            CoLocationThroughputTable(default_tput=default_tput),
             jobs={},
         )
-        hom_packed = full_reconfiguration(tasks, catalog, hom_ev)
-        assert configuration_cost(het_packed) == pytest.approx(
-            configuration_cost(hom_packed)
+
+        def layout(packed):
+            return [
+                (p.instance_type.name, tuple(t.task_id for t in p.tasks))
+                for p in packed
+            ]
+
+        assert layout(full_reconfiguration(tasks, catalog, het_ev)) == layout(
+            full_reconfiguration(tasks, catalog, hom_ev)
         )
+
+    def test_task_no_type_fits_is_infeasible(self, catalog):
+        """A task no instance type can host fails as it does under the
+        homogeneous evaluators, naming the infeasibility."""
+        task = make_job(
+            "W", {"*": ResourceVector(64, 8, 8)}, 1.0, job_id="huge"
+        ).tasks[0]
+        with pytest.raises(InfeasibleTaskError):
+            full_reconfiguration([task], catalog, self._evaluator(catalog))
 
     def test_speedy_family_attracts_tasks(self, catalog):
         """Tasks that run 3x faster on R7i should land on R7i."""
@@ -132,7 +148,7 @@ class TestHeterogeneousPacking:
             ).tasks[0]
             for i in range(4)
         ]
-        packed = heterogeneous_full_reconfiguration(
+        packed = full_reconfiguration(
             tasks, catalog, self._evaluator(catalog, profile)
         )
         for p in packed:
@@ -143,7 +159,5 @@ class TestHeterogeneousPacking:
     def test_property_all_assigned(self, n, seed):
         catalog = ec2_catalog()
         tasks = microbench_task_pool(n, seed=seed)
-        packed = heterogeneous_full_reconfiguration(
-            tasks, catalog, self._evaluator(catalog)
-        )
+        packed = full_reconfiguration(tasks, catalog, self._evaluator(catalog))
         assert sum(len(p.tasks) for p in packed) == n

@@ -4,9 +4,20 @@ import pytest
 
 from repro.baselines import NoPackingScheduler
 from repro.cloud.delays import DelayModel
+from repro.cluster.instance import fresh_instance
 from repro.cluster.resources import ResourceVector
+from repro.core.interfaces import Scheduler
+from repro.core.protocol import (
+    AssignTask,
+    Decision,
+    LaunchInstance,
+    TerminateInstance,
+    UnassignTask,
+)
+from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.scheduler import EvaScheduler
 from repro.interference.model import InterferenceModel, no_interference_model
+from repro.sim.accounting import ClusterAccounting
 from repro.sim.simulator import ClusterSimulator, run_simulation
 from repro.workloads.trace import Trace, sort_jobs_by_arrival
 from repro.workloads.workloads import workload
@@ -161,6 +172,105 @@ class TestLifecycle:
         trace = _trace([("A3C", 0.1, 0.0)])
         with pytest.raises(ValueError):
             ClusterSimulator(trace, NoPackingScheduler(catalog), period_s=0)
+
+
+class _UnassignScript(Scheduler):
+    """Places the trace's one task, unassigns it and terminates its
+    instance in one decision at ``unassign_s``, and places it again on a
+    fresh instance at ``replace_s``."""
+
+    name = "unassign-script"
+    action_types = frozenset(
+        {LaunchInstance, AssignTask, UnassignTask, TerminateInstance}
+    )
+
+    def __init__(self, itype, unassign_s, replace_s):
+        self.itype = itype
+        self.unassign_s = unassign_s
+        self.replace_s = replace_s
+        self.snapshots = {}
+
+    def schedule(self, snapshot):  # pragma: no cover - decide is overridden
+        raise NotImplementedError
+
+    def decide(self, snapshot, observations=()):
+        self.snapshots[snapshot.time_s] = snapshot
+        if snapshot.time_s in (0.0, self.replace_s):
+            (task,) = snapshot.unassigned_tasks()
+            inst = fresh_instance(self.itype)
+            return Decision(
+                actions=(
+                    LaunchInstance(instance=inst),
+                    AssignTask(task_id=task.task_id, instance_id=inst.instance_id),
+                )
+            )
+        if snapshot.time_s == self.unassign_s:
+            (state,) = snapshot.instances
+            (task_id,) = state.task_ids
+            return Decision(
+                actions=(
+                    UnassignTask(task_id=task_id, instance_id=state.instance_id),
+                    TerminateInstance(instance_id=state.instance_id),
+                )
+            )
+        return Decision()
+
+
+class TestUnassignTask:
+    def test_unassigned_task_keeps_progress_and_holds_source(
+        self, catalog, monkeypatch
+    ):
+        """An unassigned task is checkpointed back to the queue: it keeps
+        its progress, its source instance stays billed until the
+        checkpoint completes, and the O(delta) accounting matches the
+        naive re-scan at every step."""
+        trace = _trace([("OpenFOAM", 1.0, 0.0)])
+        (task,) = trace.jobs[0].tasks
+        delays = DelayModel()
+        ready_s = delays.mean_instance_ready_s()
+        checkpoint_s = task.migration.checkpoint_s
+        launch_s = task.migration.launch_s
+        scheduler = _UnassignScript(
+            ReservationPriceCalculator(catalog).rp_type(task),
+            unassign_s=1800.0,
+            replace_s=2100.0,
+        )
+        sim = ClusterSimulator(
+            trace,
+            scheduler,
+            interference=no_interference_model(),
+            delay_model=delays,
+            validate=True,
+        )
+        verified_at = []
+        verify = ClusterAccounting.verify
+
+        def spy(acct, *args, **kwargs):
+            verified_at.append(sim.now_s)
+            verify(acct, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterAccounting, "verify", spy)
+        result = sim.run()
+
+        # Between the two placements the task waits in the queue and the
+        # source instance is gone from the cluster.
+        queued = scheduler.snapshots[2100.0]
+        assert [t.task_id for t in queued.unassigned_tasks()] == [task.task_id]
+        assert queued.instances == ()
+        # Progress kept: only the work left at the unassign is redone.
+        done_s = 1800.0 - (ready_s + launch_s)
+        restart_s = 2100.0 + ready_s + launch_s
+        (job,) = result.jobs
+        assert job.finish_s == pytest.approx(restart_s + 3600.0 - done_s)
+        # The source is billed until its checkpoint completes (the
+        # INSTANCE_TERMINATE hold), the replacement until the job ends.
+        assert result.uptimes_hours == pytest.approx(
+            [(1800.0 + checkpoint_s) / 3600.0, (job.finish_s - 2100.0) / 3600.0]
+        )
+        assert (result.placements, result.migrations) == (2, 0)
+        # The cross-check ran on the state the unassign left (task queued,
+        # source held) and on the state after the held termination.
+        assert 1800.0 in verified_at and 1800.0 + checkpoint_s in verified_at
 
 
 class TestMetricsPlumbing:
