@@ -349,8 +349,8 @@ class _SimEnvironment(ClusterEnvironment):
     cloud ledger, runtime tables, delay-model draws, event queue — and
     inherits the shared action interpreter from
     :class:`~repro.core.protocol.ClusterEnvironment`.  Checkpoint holds
-    (a migrating task's source instance must stay up until its
-    checkpoint completes) are per-decision state, reset by
+    (a migrated or unassigned task's source instance must stay up until
+    its checkpoint completes) are per-decision state, reset by
     ``begin_decision``; the canonical action order guarantees every
     migration off an instance precedes that instance's termination.
     """

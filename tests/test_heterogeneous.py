@@ -103,22 +103,9 @@ class TestHeterogeneousPacking:
             bound = ev.for_family(p.instance_type.family)
             assert bound.set_value(list(p.tasks)) >= p.hourly_cost - 1e-6
 
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    @pytest.mark.parametrize("default_tput", [1.0, 0.95])
-    def test_unit_speeds_match_homogeneous_cost(self, catalog, seed, default_tput):
+    def test_unit_speeds_match_homogeneous_cost(self, catalog):
         """With unit speeds the heterogeneous evaluator packs exactly as
         homogeneous TNRP: same types, same task sets, same order."""
-        tasks = microbench_task_pool(40, seed=seed)
-        het_ev = HeterogeneousEvaluator(
-            calculator=HeterogeneousRPCalculator(catalog),
-            table=CoLocationThroughputTable(default_tput=default_tput),
-            jobs={},
-        )
-        hom_ev = TNRPEvaluator(
-            ReservationPriceCalculator(catalog),
-            CoLocationThroughputTable(default_tput=default_tput),
-            jobs={},
-        )
 
         def layout(packed):
             return [
@@ -126,9 +113,22 @@ class TestHeterogeneousPacking:
                 for p in packed
             ]
 
-        assert layout(full_reconfiguration(tasks, catalog, het_ev)) == layout(
-            full_reconfiguration(tasks, catalog, hom_ev)
-        )
+        for default_tput in (1.0, 0.95, 0.8):
+            for num_tasks, seed in ((10, 3), (40, 3), (40, 4), (120, 5)):
+                tasks = microbench_task_pool(num_tasks, seed=seed)
+                het_ev = HeterogeneousEvaluator(
+                    calculator=HeterogeneousRPCalculator(catalog),
+                    table=CoLocationThroughputTable(default_tput=default_tput),
+                    jobs={},
+                )
+                hom_ev = TNRPEvaluator(
+                    ReservationPriceCalculator(catalog),
+                    CoLocationThroughputTable(default_tput=default_tput),
+                    jobs={},
+                )
+                assert layout(full_reconfiguration(tasks, catalog, het_ev)) == (
+                    layout(full_reconfiguration(tasks, catalog, hom_ev))
+                )
 
     def test_task_no_type_fits_is_infeasible(self, catalog):
         """A task no instance type can host fails as it does under the
