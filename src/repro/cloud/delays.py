@@ -151,13 +151,3 @@ class DelayModel:
         if self.stochastic and workload_launch_s is not None:
             base *= float(self.rng.uniform(0.8, 1.2))
         return base * self.migration_multiplier
-
-    def migration_s(
-        self,
-        workload_checkpoint_s: float | None = None,
-        workload_launch_s: float | None = None,
-    ) -> float:
-        """Total task-migration delay (checkpoint + launch)."""
-        return self.checkpoint_s(workload_checkpoint_s) + self.launch_s(
-            workload_launch_s
-        )

@@ -134,18 +134,6 @@ class BillingLedger:
     def active_instance_ids(self) -> list[str]:
         return [iid for iid, r in self.records.items() if r.is_active]
 
-    def active_hourly_cost(self) -> float:
-        """Instantaneous $/hr burn rate of currently active instances."""
-        return sum(r.hourly_rate or 0.0 for r in self.records.values() if r.is_active)
-
     def uptimes_hours(self, now_s: float) -> list[float]:
         """Per-instance uptimes in hours (the Figure 3 distribution)."""
         return [r.uptime_s(now_s) / 3600.0 for r in self.records.values()]
-
-    def cost_by_family(self, now_s: float) -> dict[str, float]:
-        """Cost split by instance family — useful for cost-breakdown reports."""
-        totals: dict[str, float] = {}
-        for r in self.records.values():
-            family = r.instance_type.family
-            totals[family] = totals.get(family, 0.0) + r.cost(now_s)
-        return totals

@@ -8,6 +8,7 @@ packing algorithms and as the billing unit in the simulator.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.cluster.resources import ResourceVector
@@ -43,9 +44,6 @@ class InstanceType:
         """True for the ILP's zero-cost placeholder type."""
         return self.family == GHOST_FAMILY
 
-    def cost_per_second(self) -> float:
-        return self.hourly_cost / 3600.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"InstanceType({self.name}, {self.capacity}, ${self.hourly_cost:g}/hr)"
 
@@ -57,36 +55,9 @@ def ghost_instance_type() -> InstanceType:
     )
 
 
-class _InstanceCounter:
-    """Global id source for :func:`fresh_instance`.
-
-    Iterator-compatible with the ``itertools.count`` it replaces, plus a
-    readable :attr:`value` (ids handed out so far) so callers that replay
-    a memoized packing can advance the counter by exactly the number of
-    ids the real computation would have minted, keeping every later id —
-    and therefore every downstream tie-break on instance id — identical.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def __iter__(self) -> "_InstanceCounter":
-        return self
-
-    def __next__(self) -> int:
-        self.value += 1
-        return self.value
-
-    def advance(self, count: int) -> None:
-        """Consume ``count`` ids without constructing instances."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self.value += count
-
-
-_instance_counter = _InstanceCounter()
+#: Global id source for :func:`fresh_instance`.  Results depend only on
+#: the order of ids (tie-breaks sort them), never on their values.
+_instance_counter = itertools.count(1)
 
 
 @dataclass(eq=False, slots=True)
@@ -102,7 +73,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         if not self.instance_id:
-            self.instance_id = f"i-{next(_instance_counter):06d}"
+            # Twelve digits keep string order equal to mint order for
+            # any number of ids a process can mint.
+            self.instance_id = f"i-{next(_instance_counter):012d}"
 
     @property
     def capacity(self) -> ResourceVector:

@@ -109,10 +109,6 @@ class ResourceVector:
         """True if this vector is >= ``other`` in every dimension."""
         return other.fits_within(self)
 
-    def is_zero(self) -> bool:
-        """True if every dimension is (numerically) zero."""
-        return self.gpus < _EPS and self.cpus < _EPS and self.ram_gb < _EPS
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------

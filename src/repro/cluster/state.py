@@ -88,16 +88,6 @@ class ClusterSnapshot:
                 return state
         return None
 
-    def co_located_tasks(self, task_id: str) -> list[Task]:
-        """Tasks sharing an instance with ``task_id`` (excluding itself)."""
-        state = self.instance_of(task_id)
-        if state is None:
-            return []
-        # Sorted so downstream packing/evaluation decisions never depend
-        # on hash-randomized frozenset iteration order (cross-process
-        # determinism).
-        return [self.tasks[tid] for tid in sorted(state.task_ids) if tid != task_id]
-
 
 @dataclass(frozen=True, slots=True)
 class TargetInstance:
@@ -194,16 +184,6 @@ class ConfigurationDiff:
     terminations: tuple[str, ...]  # instance ids
     migrations: tuple[tuple[str, str | None, str], ...]  # (task, from, to)
     unchanged_tasks: tuple[str, ...]
-
-    @property
-    def num_migrations(self) -> int:
-        """Count of tasks moved between two instances (not first placements)."""
-        return sum(1 for _, src, _ in self.migrations if src is not None)
-
-    @property
-    def num_placements(self) -> int:
-        """Count of first-time task placements (queued → instance)."""
-        return sum(1 for _, src, _ in self.migrations if src is None)
 
 
 def diff_configuration(

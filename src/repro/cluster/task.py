@@ -37,9 +37,6 @@ class MigrationDelays:
     def total_s(self) -> float:
         return self.checkpoint_s + self.launch_s
 
-    def total_hours(self) -> float:
-        return self.total_s() / 3600.0
-
 
 @dataclass(frozen=True, slots=True)
 class Task:

@@ -164,17 +164,6 @@ class ReconfigDecision:
     migration_partial: float
     duration_estimate_hours: float
 
-    @property
-    def net_full(self) -> float:
-        return self.saving_full * self.duration_estimate_hours - self.migration_full
-
-    @property
-    def net_partial(self) -> float:
-        return (
-            self.saving_partial * self.duration_estimate_hours
-            - self.migration_partial
-        )
-
 
 @dataclass
 class EnsemblePolicy:
@@ -182,7 +171,8 @@ class EnsemblePolicy:
 
     delay_model: DelayModel = field(default_factory=DelayModel)
     estimator: PoissonEventEstimator = field(default_factory=PoissonEventEstimator)
-    history: list[ReconfigDecision] = field(default_factory=list)
+    #: Equation-1 weighings recorded so far (memo replays included).
+    decisions: int = 0
 
     def record_events(self, count: int, time_s: float) -> None:
         self.estimator.record_events(count, time_s)
@@ -202,8 +192,8 @@ class EnsemblePolicy:
         )
 
     def record(self, decision: ReconfigDecision) -> None:
-        """Log ``decision`` and feed its outcome to the p estimate."""
-        self.history.append(decision)
+        """Count ``decision`` and feed its outcome to the p estimate."""
+        self.decisions += 1
         self.estimator.record_decision(decision.adopted_full)
 
     def decide(
@@ -225,6 +215,6 @@ class EnsemblePolicy:
 
     def full_adoption_fraction(self) -> float:
         """Fraction of decisions that adopted Full Reconfiguration (Fig. 5a)."""
-        if not self.history:
+        if not self.decisions:
             return 0.0
-        return sum(1 for d in self.history if d.adopted_full) / len(self.history)
+        return self.estimator.full_adoptions / self.decisions

@@ -342,9 +342,9 @@ class PackMemo:
     packing every period from bit-identical inputs.  The memo keys on the
     pool fingerprint plus the evaluator's :meth:`cache_token` and returns
     the abstract packing (instance type + task tuple per instance); the
-    caller re-mints instance ids with :func:`fresh_instance` in packing
-    order, so the global id counter advances exactly as a real run and
-    results stay byte-identical.  Entries are dropped wholesale when the
+    caller mints fresh instances with :func:`fresh_instance` in packing
+    order, so the new ids sort as a real run's would and results stay
+    byte-identical.  Entries are dropped wholesale when the
     memo exceeds its cap (steady-state reuse is between consecutive
     rounds, so a small cap suffices).
     """

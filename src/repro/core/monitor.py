@@ -27,7 +27,6 @@ class ThroughputMonitor:
     """Online interference learning from job throughput reports."""
 
     table: CoLocationThroughputTable = field(default_factory=CoLocationThroughputTable)
-    reports_seen: int = 0
     #: The previous round's report objects and whether ingesting them
     #: left the table untouched — the fixpoint fast path below.
     _last_reports: tuple[JobThroughputReport, ...] = field(
@@ -53,11 +52,9 @@ class ThroughputMonitor:
             and len(reports) == len(last)
             and all(a is b for a, b in zip(reports, last))
         ):
-            self.reports_seen += len(reports)
             return
         version_before = self.table.version
         for report in reports:
-            self.reports_seen += 1
             if report.is_multi_task:
                 self.table.observe_multi_task_job(
                     report.placements, report.normalized_tput

@@ -58,7 +58,10 @@ def _fill_survivor(
     pool: _TaskPool,
     evaluator: AssignmentEvaluator,
 ) -> PackedInstance:
-    """Offer subset tasks to a surviving instance's spare capacity."""
+    """Offer subset tasks to a surviving instance's spare capacity.
+
+    ``evaluator`` is bound to the survivor's type (``for_type``).
+    """
     added, _ = _pack_one_instance(
         survivor.instance_type, pool, evaluator, resident=survivor.tasks
     )
@@ -89,17 +92,25 @@ def partial_reconfiguration(
             plain cost so the margin does not force churn).
         memo: Optional :class:`PackMemo` forwarded to the stage-2
             Algorithm 1 call.
+
+    Like Algorithm 1, the keep-or-drain test and the survivor fill value
+    each instance with ``evaluator.for_type`` of its type.
     """
     survivors: list[PackedInstance] = []
     subset: list[Task] = list(unassigned)
     drained: list[tuple[Instance, frozenset[str]]] = []
+    # ``evaluator.for_type`` once per instance type in this call.
+    bound: dict[str, AssignmentEvaluator] = {}
 
     for instance, tasks in current:
         tasks = list(tasks)
         if not tasks:
             drained.append((instance, frozenset()))
             continue
-        value = evaluator.set_value(tasks)
+        itype = instance.instance_type
+        if itype.name not in bound:
+            bound[itype.name] = evaluator.for_type(itype)
+        value = bound[itype.name].set_value(tasks)
         if value >= instance.hourly_cost - _EPS:
             survivors.append(
                 PackedInstance(instance=instance, tasks=tuple(tasks))
@@ -120,7 +131,11 @@ def partial_reconfiguration(
         if pool.is_empty():
             filled.append(survivor)
         else:
-            filled.append(_fill_survivor(survivor, pool, evaluator))
+            filled.append(
+                _fill_survivor(
+                    survivor, pool, bound[survivor.instance.instance_type.name]
+                )
+            )
 
     # Stage 2 — pack the remainder with Algorithm 1 and reuse drained
     # instances of matching types where possible.

@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
 
 from repro.cloud.delays import DelayModel
-from repro.cluster.instance import InstanceType, _instance_counter
+from repro.cluster.instance import InstanceType
 from repro.cluster.state import (
     ClusterSnapshot,
     TargetConfiguration,
@@ -112,17 +112,14 @@ _ROUND_MEMO_CAP = 256
 class _RoundMemoEntry:
     """One memoized no-op round (see :meth:`EvaScheduler.decide`).
 
-    Replaying a round must leave every piece of scheduler-external state
-    exactly as the real computation would: ``mint_count`` advances the
-    global instance-id counter by the number of ids the packing would
-    have consumed (downstream tie-breaks sort on ids), and the stored
-    ensemble record (``None`` when one candidate is disabled) lets the
-    hit path re-weigh Equation 1 under the *current* D̂ — which changes
-    every round — before trusting the cached decision.
+    The stored ensemble record (``None`` when one candidate is disabled)
+    lets the hit path re-weigh Equation 1 under the *current* D̂ — which
+    changes every round — before trusting the cached decision.  A hit
+    mints no instance ids: ids only break ties by their order, and every
+    later id still sorts after every earlier one.
     """
 
     decision: Decision
-    mint_count: int
     ensemble: ReconfigDecision | None
 
 
@@ -460,13 +457,11 @@ class EvaScheduler(Scheduler):
         nothing".  Recomputing both reconfiguration candidates every
         round just to rediscover that dominates simulated wall time, so
         decisions with **no actions** are memoized on the exact state
-        they were computed from.  A hit replays the round's observable
-        side effects precisely: the instance-id counter advances by the
-        number of ids the packing would have minted, and Equation 1 is
-        re-evaluated under the current D̂ — if the adoption choice would
-        flip, the hit is abandoned and the round recomputed for real.
-        Decisions *with* actions are never cached (their launch actions
-        embed freshly minted instance ids).
+        they were computed from.  A hit re-evaluates Equation 1 under the
+        current D̂ — if the adoption choice would flip, the hit is
+        abandoned and the round recomputed for real.  Decisions *with*
+        actions are never cached (their launch actions embed freshly
+        minted instance ids).
         """
         self.on_throughput_reports(throughput_reports(observations))
         self.observe(observations)
@@ -482,14 +477,12 @@ class EvaScheduler(Scheduler):
             if replayed is not None:
                 return replayed
 
-        before = _instance_counter.value
         target = self._schedule_core(packing_snapshot, evaluator)
-        mint_count = _instance_counter.value - before
         decision = diff_target(snapshot, target)
         if key is not None and not decision.actions:
             if len(memo) >= _ROUND_MEMO_CAP:
                 memo.clear()
-            memo[key] = _RoundMemoEntry(decision, mint_count, self.last_decision)
+            memo[key] = _RoundMemoEntry(decision, self.last_decision)
         return decision
 
     def _replay_round(self, entry: _RoundMemoEntry) -> Decision | None:
@@ -513,7 +506,6 @@ class EvaScheduler(Scheduler):
             if fresh.adopted_full != stored.adopted_full:
                 return None
             self.policy.record(fresh)
-        _instance_counter.advance(entry.mint_count)
         self.last_decision = fresh
         return entry.decision
 

@@ -88,9 +88,6 @@ class CoLocationThroughputTable:
         """Recorded (or default) throughput of ``workload`` next to ``other``."""
         return self._pairwise.get((workload, other), self.default_tput)
 
-    def has_pairwise(self, workload: str, other: str) -> bool:
-        return (workload, other) in self._pairwise
-
     def tput(self, workload: str, neighbours: Sequence[str]) -> float:
         """Estimated throughput of a task given its co-located workloads.
 
@@ -237,6 +234,3 @@ class CoLocationThroughputTable:
     def version(self) -> int:
         """Monotonic counter of value-changing updates (cache epoch)."""
         return self._version
-
-    def pairwise_snapshot(self) -> Mapping[tuple[str, str], float]:
-        return dict(self._pairwise)

@@ -2,8 +2,8 @@
 
 Every experiment is declared as an
 :class:`~repro.experiments.registry.ExperimentSpec` (scenario grid
-builder + aggregation + presentation) registered under its CLI id;
-importing this package populates the registry.  Drive them with
+builder + aggregation + presentation) registered under its CLI id; the
+registry imports the spec modules on its first lookup.  Drive them with
 ``python -m repro.experiments {list,run,report}`` or
 :func:`~repro.experiments.registry.run_experiment`; each module also
 keeps a thin ``run(...)`` shim returning its result object.
@@ -19,28 +19,6 @@ from repro.experiments.registry import (
     get_experiment,
     run_experiment,
 )
-from repro.experiments import (
-    deadline_slo,
-    fig01_interference,
-    fig04_interference_sweep,
-    fig05_migration_sweep,
-    fig06_workload_mix,
-    fig07_multitask_sweep,
-    fig08_arrival_rate,
-    reliability,
-    spot_eviction,
-    spot_market,
-    table01_delays,
-    table04_microbench,
-    table05_runtime,
-    table06_multitask,
-    table07_workloads,
-    table10_e2e_large,
-    table11_e2e_small,
-    table12_fidelity,
-    table13_alibaba,
-    table14_gavel,
-)
 
 __all__ = [
     "ExperimentContext",
@@ -50,24 +28,4 @@ __all__ = [
     "experiment_ids",
     "get_experiment",
     "run_experiment",
-    "deadline_slo",
-    "fig01_interference",
-    "fig04_interference_sweep",
-    "fig05_migration_sweep",
-    "fig06_workload_mix",
-    "fig07_multitask_sweep",
-    "fig08_arrival_rate",
-    "reliability",
-    "spot_eviction",
-    "spot_market",
-    "table01_delays",
-    "table04_microbench",
-    "table05_runtime",
-    "table06_multitask",
-    "table07_workloads",
-    "table10_e2e_large",
-    "table11_e2e_small",
-    "table12_fidelity",
-    "table13_alibaba",
-    "table14_gavel",
 ]

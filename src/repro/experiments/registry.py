@@ -3,6 +3,9 @@
 Every paper table/figure is described by an :class:`ExperimentSpec` —
 an id, a *scenario grid builder*, an *aggregation*, and a *presentation*
 — registered in a process-wide registry at import time of its module.
+The registry imports every spec module on its first lookup
+(:func:`get_experiment`, :func:`experiment_ids`), so a caller that
+only needs one module's helpers loads that module alone.
 The CLI (``python -m repro.experiments``), the examples, and the tests
 all drive experiments through :func:`run_experiment`, which owns the
 shared mechanics the per-module scripts used to hand-roll:
@@ -28,6 +31,7 @@ byte-identical (guarded by the equivalence tests in
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -289,6 +293,37 @@ class ExperimentSpec:
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
+#: The spec modules under :mod:`repro.experiments`; each registers its
+#: specs when imported.
+_SPEC_MODULES = (
+    "deadline_slo",
+    "fig01_interference",
+    "fig04_interference_sweep",
+    "fig05_migration_sweep",
+    "fig06_workload_mix",
+    "fig07_multitask_sweep",
+    "fig08_arrival_rate",
+    "reliability",
+    "spot_eviction",
+    "spot_market",
+    "table01_delays",
+    "table04_microbench",
+    "table05_runtime",
+    "table06_multitask",
+    "table07_workloads",
+    "table10_e2e_large",
+    "table11_e2e_small",
+    "table12_fidelity",
+    "table13_alibaba",
+    "table14_gavel",
+)
+
+
+def _load_specs() -> None:
+    """Import every spec module; a module already imported is not re-run."""
+    for name in _SPEC_MODULES:
+        importlib.import_module(f"repro.experiments.{name}")
+
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
     """Register ``spec`` under its id (idempotent for identical re-imports)."""
@@ -300,6 +335,7 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
 
 
 def get_experiment(experiment_id: str) -> ExperimentSpec:
+    _load_specs()
     try:
         return _REGISTRY[experiment_id]
     except KeyError:
@@ -310,6 +346,7 @@ def get_experiment(experiment_id: str) -> ExperimentSpec:
 
 
 def experiment_ids() -> tuple[str, ...]:
+    _load_specs()
     return tuple(sorted(_REGISTRY))
 
 

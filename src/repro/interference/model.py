@@ -16,7 +16,7 @@ Multi-task (data-parallel) jobs take the min over their tasks' throughputs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.interference.matrix import pairwise_throughput, resolve_profile_name
 
@@ -74,12 +74,6 @@ class InterferenceModel:
             tput *= self.pairwise(workload, other)
         self._cache[key] = tput
         return tput
-
-    def job_throughput(self, task_throughputs: Sequence[float]) -> float:
-        """Data-parallel job throughput: the straggler's throughput (§4.4)."""
-        if not task_throughputs:
-            return 1.0
-        return min(task_throughputs)
 
 
 def no_interference_model() -> InterferenceModel:

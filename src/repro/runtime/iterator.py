@@ -70,11 +70,3 @@ class EvaIterator(Iterable[T]):
         while self._timestamps and self._timestamps[0] < cutoff:
             self._timestamps.popleft()
         return len(self._timestamps) / window_s
-
-    def normalized_throughput(
-        self, standalone_iters_per_s: float, window_s: float = DEFAULT_WINDOW_S
-    ) -> float:
-        """Throughput normalized by the profiled standalone rate."""
-        if standalone_iters_per_s <= 0:
-            raise ValueError("standalone rate must be positive")
-        return min(1.0, self.throughput(window_s) / standalone_iters_per_s)

@@ -16,6 +16,10 @@ re-scan as a reference implementation; ``validate=True`` simulations
 cross-check against it on every accounting step, and the randomized
 equivalence test in ``tests/test_sim_invariants.py`` compares whole-run
 results between the two paths.
+
+The SLO and reliability totals are not kept here: :func:`deadline_totals`
+and :func:`failure_totals` sum them once, at the end of a run, over the
+outcome records the result already stores.
 """
 
 from __future__ import annotations
@@ -44,49 +48,15 @@ class ClusterAccounting:
             instances.
         num_tasks: Number of tasks assigned to live instances.
         num_instances: Number of live instances.
-        deadline_jobs: Number of finished deadline-bearing jobs.
-        deadline_misses: How many of those finished past their deadline.
-        deadline_lateness_s: Running sum of per-job lateness
-            (``max(0, finish - deadline)``), accumulated in finish order
-            — one O(1) update per job completion, never a re-scan.
-        instance_failures: Injected instance kills (crashes + shocks).
-        task_restarts: Tasks knocked back to the queue by failures.
-        work_lost_h: Standalone-hours of progress rolled back to the
-            last checkpoint, accumulated per affected job in the exact
-            (event, sorted job id) order the failure records keep, so
-            :func:`naive_failure_totals` reproduces it bit for bit.
-        repairs: Closed job outages (failure until rate recovery).
-        repair_time_s: Running sum of outage durations (MTTR numerator).
     """
 
-    __slots__ = (
-        "allocated",
-        "capacity",
-        "num_tasks",
-        "num_instances",
-        "deadline_jobs",
-        "deadline_misses",
-        "deadline_lateness_s",
-        "instance_failures",
-        "task_restarts",
-        "work_lost_h",
-        "repairs",
-        "repair_time_s",
-    )
+    __slots__ = ("allocated", "capacity", "num_tasks", "num_instances")
 
     def __init__(self) -> None:
         self.allocated: dict[str, float] = {r: 0.0 for r in RESOURCE_NAMES}
         self.capacity: dict[str, float] = {r: 0.0 for r in RESOURCE_NAMES}
         self.num_tasks = 0
         self.num_instances = 0
-        self.deadline_jobs = 0
-        self.deadline_misses = 0
-        self.deadline_lateness_s = 0.0
-        self.instance_failures = 0
-        self.task_restarts = 0
-        self.work_lost_h = 0.0
-        self.repairs = 0
-        self.repair_time_s = 0.0
 
     # ------------------------------------------------------------------
     # Deltas
@@ -115,69 +85,17 @@ class ClusterAccounting:
             self.allocated[r] -= demand.get(r)
         self.num_tasks -= 1
 
-    def job_deadline_resolved(self, lateness_s: float) -> None:
-        """A deadline-bearing job finished with the given lateness.
-
-        ``lateness_s`` must already be clamped to ``>= 0``; zero means
-        the deadline was met.  Called once per deadline-bearing job, in
-        finish order, so the lateness sum is deterministic.
-        """
-        if lateness_s < 0:
-            raise ValueError(f"lateness_s must be >= 0, got {lateness_s}")
-        self.deadline_jobs += 1
-        if lateness_s > 0:
-            self.deadline_misses += 1
-            self.deadline_lateness_s += lateness_s
-
-    def instance_failed(self) -> None:
-        """One instance was killed by fault injection."""
-        self.instance_failures += 1
-
-    def task_restarted(self) -> None:
-        """One task lost its instance to a failure and will retry."""
-        self.task_restarts += 1
-
-    def job_work_lost(self, lost_h: float) -> None:
-        """A job rolled back ``lost_h`` standalone-hours to its checkpoint.
-
-        Called once per (failure event, affected job) in sorted job-id
-        order — the order :class:`~repro.sim.metrics.FailureOutcome`
-        records keep — so the running sum is deterministic and
-        :func:`naive_failure_totals` matches bit for bit.
-        """
-        if lost_h < 0:
-            raise ValueError(f"lost_h must be >= 0, got {lost_h}")
-        self.work_lost_h += lost_h
-
-    def job_repaired(self, outage_s: float) -> None:
-        """A failed job's rate recovered after ``outage_s`` seconds."""
-        if outage_s < 0:
-            raise ValueError(f"outage_s must be >= 0, got {outage_s}")
-        self.repairs += 1
-        self.repair_time_s += outage_s
-
     # ------------------------------------------------------------------
     # Reference implementation + cross-check
     # ------------------------------------------------------------------
     def verify(
-        self,
-        instances: Mapping[str, object],
-        tasks: Mapping[str, object],
-        deadline_outcomes: Sequence[object] | None = None,
-        failure_outcomes: Sequence[object] | None = None,
-        repair_outcomes: Sequence[object] | None = None,
+        self, instances: Mapping[str, object], tasks: Mapping[str, object]
     ) -> None:
         """Assert the incremental totals match a naive re-scan.
 
         Called on every accounting step when the simulator runs with
         ``validate=True``; raises :class:`AccountingDriftError` when any
         total drifted (i.e. a state mutation bypassed the delta hooks).
-        ``deadline_outcomes`` (the simulator's finish-order SLO records)
-        additionally cross-checks the deadline counters against
-        :func:`naive_deadline_totals`; ``failure_outcomes`` /
-        ``repair_outcomes`` (the dispatch-order reliability records) do
-        the same for the reliability counters via
-        :func:`naive_failure_totals`.
         """
         allocated, capacity, num_tasks, num_instances = naive_totals(instances, tasks)
         if num_tasks != self.num_tasks or num_instances != self.num_instances:
@@ -194,46 +112,6 @@ class ClusterAccounting:
                     raise AccountingDriftError(
                         f"{label}[{r}] drift: incremental {inc!r} vs naive {ref!r}"
                     )
-        if deadline_outcomes is not None:
-            jobs, misses, lateness = naive_deadline_totals(deadline_outcomes)
-            if jobs != self.deadline_jobs or misses != self.deadline_misses:
-                raise AccountingDriftError(
-                    f"deadline count drift: incremental ({self.deadline_jobs} "
-                    f"jobs, {self.deadline_misses} misses) vs naive "
-                    f"({jobs}, {misses})"
-                )
-            # Same additions in the same (finish) order: bit-for-bit.
-            if lateness != self.deadline_lateness_s:
-                raise AccountingDriftError(
-                    f"deadline lateness drift: incremental "
-                    f"{self.deadline_lateness_s!r} vs naive {lateness!r}"
-                )
-        if failure_outcomes is not None:
-            failures, restarts, lost, repairs, repair_s = naive_failure_totals(
-                failure_outcomes, repair_outcomes or ()
-            )
-            if (
-                failures != self.instance_failures
-                or restarts != self.task_restarts
-                or repairs != self.repairs
-            ):
-                raise AccountingDriftError(
-                    f"reliability count drift: incremental "
-                    f"({self.instance_failures} failures, "
-                    f"{self.task_restarts} restarts, {self.repairs} repairs) "
-                    f"vs naive ({failures}, {restarts}, {repairs})"
-                )
-            # Same additions in the same (event, job) order: bit-for-bit.
-            if lost != self.work_lost_h:
-                raise AccountingDriftError(
-                    f"work-lost drift: incremental {self.work_lost_h!r} "
-                    f"vs naive {lost!r}"
-                )
-            if repair_s != self.repair_time_s:
-                raise AccountingDriftError(
-                    f"repair-time drift: incremental {self.repair_time_s!r} "
-                    f"vs naive {repair_s!r}"
-                )
 
 
 def naive_totals(
@@ -267,15 +145,13 @@ def naive_totals(
     return allocated, capacity, num_tasks, num_instances
 
 
-def naive_deadline_totals(
-    deadline_outcomes: Sequence[object],
-) -> tuple[int, int, float]:
-    """Re-derive ``(jobs, misses, total lateness)`` from the SLO records.
+def deadline_totals(deadline_outcomes: Sequence[object]) -> tuple[int, float]:
+    """``(misses, total lateness)`` over the SLO records.
 
     ``deadline_outcomes`` is the simulator's finish-order list of
-    :class:`~repro.sim.metrics.DeadlineOutcome` records.  Iterating it in
-    that order performs the exact addition sequence of the incremental
-    path, so the lateness total compares bit-for-bit.
+    :class:`~repro.sim.metrics.DeadlineOutcome` records; the lateness
+    sum adds in that order, so a run's totals are a pure function of its
+    records.
     """
     misses = 0
     lateness = 0.0
@@ -283,22 +159,16 @@ def naive_deadline_totals(
         if outcome.lateness_s > 0:
             misses += 1
             lateness += outcome.lateness_s
-    return len(deadline_outcomes), misses, lateness
+    return misses, lateness
 
 
-def naive_failure_totals(
-    failure_outcomes: Sequence[object],
-    repair_outcomes: Sequence[object] = (),
-) -> tuple[int, int, float, int, float]:
-    """Re-derive the reliability totals from the per-event records.
+def failure_totals(failure_outcomes: Sequence[object]) -> tuple[int, float]:
+    """``(task restarts, work lost in standalone-hours)`` over the records.
 
-    Returns ``(instance_failures, task_restarts, work_lost_h, repairs,
-    repair_time_s)``.  ``failure_outcomes`` are the simulator's
-    dispatch-order :class:`~repro.sim.metrics.FailureOutcome` records;
-    iterating each event's per-job losses in their stored (sorted job
-    id) order performs the exact addition sequence of the incremental
-    path, so the float totals compare bit for bit — the same contract as
-    :func:`naive_deadline_totals`.
+    ``failure_outcomes`` are the simulator's dispatch-order
+    :class:`~repro.sim.metrics.FailureOutcome` records; the work-lost sum
+    adds each event's per-job losses in their stored (sorted job id)
+    order.
     """
     restarts = 0
     lost = 0.0
@@ -306,13 +176,4 @@ def naive_failure_totals(
         restarts += outcome.tasks_lost
         for _, job_lost in outcome.job_losses:
             lost += job_lost
-    repair_s = 0.0
-    for repair in repair_outcomes:
-        repair_s += repair.recovered_s - repair.failed_s
-    return (
-        len(failure_outcomes),
-        restarts,
-        lost,
-        len(repair_outcomes),
-        repair_s,
-    )
+    return restarts, lost

@@ -679,9 +679,6 @@ class TrialSet:
     def __len__(self) -> int:
         return len(self.aggregates)
 
-    def by_label(self) -> dict[str, TrialAggregate]:
-        return {aggregate.label: aggregate for aggregate in self.aggregates}
-
 
 def run_trials(
     scenarios: Iterable[Scenario],

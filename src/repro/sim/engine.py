@@ -108,9 +108,6 @@ class EventQueue:
             raise IndexError("pop from empty event queue")
         return heapq.heappop(self._heap)[3]
 
-    def peek_time(self) -> float | None:
-        return self._heap[0][0] if self._heap else None
-
     def __len__(self) -> int:
         return len(self._heap)
 

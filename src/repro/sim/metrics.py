@@ -27,10 +27,8 @@ class FailureOutcome:
 
     Recorded in dispatch order.  ``job_losses`` keeps the *per-job*
     rolled-back work (sorted by job id within the event) rather than a
-    pre-summed total, so
-    :func:`~repro.sim.accounting.naive_failure_totals` can replay the
-    exact addition sequence of the O(1) accounting path and compare the
-    work-lost total bit for bit.
+    pre-summed total; :func:`~repro.sim.accounting.failure_totals` sums
+    these into the run's ``work_lost_h``.
 
     ``instance_index`` is the victim's **per-run launch ordinal** (0 for
     the run's first launch), *not* its ``i-...`` id: instance ids come
@@ -205,11 +203,10 @@ class SimulationResult:
     full_adoption_fraction: float | None = None
     scheduling_rounds: int = 0
     preemptions: int = 0
-    #: Per-job SLO records (deadline-bearing jobs only, in finish order —
-    #: the order the O(delta) totals accumulated in, so
-    #: :func:`~repro.sim.accounting.naive_deadline_totals` reproduces the
-    #: aggregates bit for bit)
-    #: plus the aggregates the paper-style tables report.  Legacy traces
+    #: Per-job SLO records (deadline-bearing jobs only, in finish order)
+    #: plus the aggregates the paper-style tables report, which
+    #: :func:`~repro.sim.accounting.deadline_totals` sums over the
+    #: records in that order at the end of the run.  Legacy traces
     #: without deadlines leave all three at their defaults, and the
     #: pickled state then omits them entirely (see ``__getstate__``), so
     #: pre-deadline results stay byte-identical — the golden digest
@@ -217,11 +214,10 @@ class SimulationResult:
     deadline_outcomes: tuple[DeadlineOutcome, ...] = ()
     deadline_miss_count: int = 0
     deadline_total_lateness_s: float = 0.0
-    #: Reliability records (failure injection, ROADMAP open item 5):
-    #: per-event failure records in dispatch order, per-job outage spans
-    #: in recovery order, and the O(1)-accumulated totals
-    #: (:func:`~repro.sim.accounting.naive_failure_totals` re-derives
-    #: them bit for bit).  All defaults with :class:`FailureConfig`
+    #: Reliability records (failure injection): per-event failure
+    #: records in dispatch order, per-job outage spans in recovery order,
+    #: and the totals :func:`~repro.sim.accounting.failure_totals` sums
+    #: over the failure records.  All defaults with :class:`FailureConfig`
     #: disabled, and then omitted from the pickled state like the
     #: deadline fields — the golden digest matrices pin this.
     failure_outcomes: tuple[FailureOutcome, ...] = ()
@@ -327,12 +323,6 @@ class SimulationResult:
             return 1.0
         return self.deadline_met_count / count
 
-    def mean_lateness_s(self) -> float:
-        """Mean lateness over the *missed* jobs (0.0 without misses)."""
-        if self.deadline_miss_count == 0:
-            return 0.0
-        return self.deadline_total_lateness_s / self.deadline_miss_count
-
     # ------------------------------------------------------------------
     # Reliability statistics (failure injection)
     # ------------------------------------------------------------------
@@ -385,22 +375,6 @@ class SimulationResult:
         if baseline.total_cost <= 0:
             return float("inf")
         return self.total_cost / baseline.total_cost
-
-    def summary_row(self) -> dict[str, float | str]:
-        """Flat dict for table rendering."""
-        return {
-            "scheduler": self.scheduler_name,
-            "total_cost": round(self.total_cost, 2),
-            "instances": self.instances_launched,
-            "migrations_per_task": round(self.migrations_per_task(), 3),
-            "tasks_per_instance": round(self.tasks_per_instance, 2),
-            "gpu_alloc": round(self.allocation["gpus"], 3),
-            "cpu_alloc": round(self.allocation["cpus"], 3),
-            "ram_alloc": round(self.allocation["ram_gb"], 3),
-            "norm_tput": round(self.mean_normalized_tput(), 3),
-            "jct_hours": round(self.mean_jct_hours(), 2),
-            "idle_hours": round(self.mean_idle_hours(), 3),
-        }
 
 
 def normalize_costs(

@@ -50,7 +50,11 @@ from repro.core.protocol import (
 )
 from repro.core.throughput_table import TaskPlacementObservation
 from repro.interference.model import InterferenceModel
-from repro.sim.accounting import ClusterAccounting
+from repro.sim.accounting import (
+    ClusterAccounting,
+    deadline_totals,
+    failure_totals,
+)
 from repro.sim.engine import Event, EventKind, EventQueue
 from repro.sim.metrics import (
     AllocationIntegrator,
@@ -770,6 +774,8 @@ class ClusterSimulator:
         adoption = getattr(self.scheduler, "full_adoption_fraction", None)
         if callable(adoption):
             full_fraction = adoption()
+        deadline_misses, lateness_s = deadline_totals(self._deadline_outcomes)
+        task_restarts, work_lost_h = failure_totals(self._failure_outcomes)
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             trace_name=self.trace.name,
@@ -785,19 +791,17 @@ class ClusterSimulator:
             full_adoption_fraction=full_fraction,
             scheduling_rounds=self._rounds,
             preemptions=self._preemptions,
-            # Finish order (deterministic), i.e. the order the O(delta)
-            # totals accumulated in — so naive_deadline_totals over the
-            # stored records reproduces the totals bit for bit.
+            # SLO records in finish order and the totals summed over
+            # them; reliability records in dispatch/recovery order and
+            # theirs.  All at their defaults (and omitted from the
+            # pickle) without deadlines or fault injection.
             deadline_outcomes=tuple(self._deadline_outcomes),
-            deadline_miss_count=self._acct.deadline_misses,
-            deadline_total_lateness_s=self._acct.deadline_lateness_s,
-            # Reliability records and O(1)-accumulated totals; all at
-            # their defaults (and omitted from the pickle) without
-            # fault injection.
+            deadline_miss_count=deadline_misses,
+            deadline_total_lateness_s=lateness_s,
             failure_outcomes=tuple(self._failure_outcomes),
             repair_outcomes=tuple(self._repair_outcomes),
-            task_restarts=self._acct.task_restarts,
-            work_lost_h=self._acct.work_lost_h,
+            task_restarts=task_restarts,
+            work_lost_h=work_lost_h,
             # Spot-market totals; all zero (and omitted from the pickle)
             # without an active market.
             price_changes=self._price_changes,
@@ -1163,7 +1167,6 @@ class ClusterSimulator:
                     lateness_s=lateness_s,
                 )
             )
-            self._acct.job_deadline_resolved(lateness_s)
         del self._jobs[job_id]
         self._pending_obs.append(JobFinished(job_id=job_id, time_s=self.now_s))
         self._refresh_rates(affected)
@@ -1257,7 +1260,7 @@ class ClusterSimulator:
         self._ensure_round_scheduled()
 
     def _fail_instance(self, instance_id: str, kind: str) -> None:
-        """Abruptly kill one instance: rollback, restarts, accounting."""
+        """Abruptly kill one instance: rollback, retry backoff, the record."""
         rt = self._instances[instance_id]
         domain = rt.failure_domain
         retry = self.failures.retry
@@ -1266,7 +1269,6 @@ class ClusterSimulator:
         lost_tasks = self._lose_instance(rt)
         for task_rt in lost_tasks:
             task_rt.failures += 1
-            self._acct.task_restarted()
             if retry.backoff_base_s > 0:
                 delay = min(
                     retry.backoff_cap_s,
@@ -1286,11 +1288,9 @@ class ClusterSimulator:
                 # resume_version bump makes the loss observable as real
                 # re-execution, not just bookkeeping.
                 job_rt.work_done_h = job_rt.ckpt_work_h
-                self._acct.job_work_lost(lost)
                 job_losses.append((jid, lost))
             if job_rt.outage_start_s is None:
                 job_rt.outage_start_s = self.now_s
-        self._acct.instance_failed()
         self._failure_outcomes.append(
             FailureOutcome(
                 instance_index=rt.launch_index,
@@ -1481,7 +1481,6 @@ class ClusterSimulator:
             if new_rate > 0 and rt.outage_start_s is not None:
                 # The job's first positive rate since a failure closes
                 # its outage span (per-job MTTR accumulates from these).
-                self._acct.job_repaired(self.now_s - rt.outage_start_s)
                 self._repair_outcomes.append(
                     RepairOutcome(
                         job_id=jid,
@@ -1510,13 +1509,7 @@ class ClusterSimulator:
         if self.validate:
             # Cross-check the O(delta) totals against the naive re-scan on
             # every accounting step (tests run with validate=True).
-            self._acct.verify(
-                self._instances,
-                self._tasks,
-                self._deadline_outcomes,
-                self._failure_outcomes,
-                self._repair_outcomes,
-            )
+            self._acct.verify(self._instances, self._tasks)
         self._alloc.accumulate_totals(dt, self._acct)
         self._accounting_time_s = time_s
 

@@ -30,7 +30,6 @@ class TestDeterministic:
         model = DelayModel()
         assert model.checkpoint_s(30.0) == 30.0
         assert model.launch_s(160.0) == 160.0
-        assert model.migration_s(2.0, 80.0) == 82.0
 
 
 class TestMultipliers:

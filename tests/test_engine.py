@@ -32,12 +32,11 @@ class TestOrdering:
         assert q.pop().payload == "first"
         assert q.pop().payload == "second"
 
-    def test_peek_and_len(self):
+    def test_len_and_bool(self):
         q = EventQueue()
-        assert q.peek_time() is None
         assert not q
         q.push(Event(3.0, EventKind.JOB_ARRIVAL))
-        assert q.peek_time() == 3.0
+        assert q
         assert len(q) == 1
 
     def test_pop_empty_raises(self):

@@ -191,7 +191,11 @@ class TestPolicy:
         chosen, decision = policy.decide(full, partial, snapshot, ev)
         assert not decision.adopted_full
         assert chosen is partial
-        assert decision.net_partial > decision.net_full
+        d_hat = decision.duration_estimate_hours
+        assert (
+            decision.saving_partial * d_hat - decision.migration_partial
+            > decision.saving_full * d_hat - decision.migration_full
+        )
 
     def test_chooses_full_when_savings_dominate(self, example_catalog):
         calc = ReservationPriceCalculator(example_catalog)
@@ -246,7 +250,7 @@ class TestPolicy:
         for _ in range(4):
             policy.decide(full, partial, snapshot, ev)
         assert policy.full_adoption_fraction() == pytest.approx(0.0)
-        assert len(policy.history) == 4
+        assert policy.decisions == 4
 
     def test_higher_migration_delay_discourages_full(self, example_catalog):
         """Figure 5a's mechanism: raising M_F flips the decision."""

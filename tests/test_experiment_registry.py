@@ -1,9 +1,11 @@
 """ExperimentSpec registry tests: coverage, equivalence with directly
 composed simulations, multi-seed presentation, and cache integration."""
 
+from pathlib import Path
+
 import pytest
 
-import repro.experiments  # noqa: F401 — populates the registry
+import repro.experiments
 from repro.analysis.comparison import STANDARD_SCHEDULERS, comparison_from_results
 from repro.cloud.catalog import ec2_catalog
 from repro.core import make_scheduler
@@ -52,6 +54,45 @@ GRID_IDS = {
 class TestRegistryCoverage:
     def test_every_experiment_registered(self):
         assert set(experiment_ids()) == ALL_IDS
+
+    def test_every_spec_module_is_listed(self):
+        """The registry loads the modules it lists; a spec module missing
+        from the list would never register."""
+        from repro.experiments.registry import _SPEC_MODULES
+
+        package = Path(repro.experiments.__file__).parent
+        modules = {p.stem for p in package.glob("*.py")}
+        helpers = {"__init__", "__main__", "common", "registry"}
+        assert set(_SPEC_MODULES) == modules - helpers
+
+    def test_one_spec_module_imports_alone(self):
+        """Importing a preset from one spec module loads no other (the
+        spot-market benchmark workload does this at set-up)."""
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(repro.experiments.__file__).parents[2])
+        script = (
+            "import sys\n"
+            "from repro.experiments.spot_market import market_config\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.experiments.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == str(
+            [
+                "repro.experiments.common",
+                "repro.experiments.registry",
+                "repro.experiments.spot_market",
+            ]
+        )
 
     def test_kinds(self):
         for spec in all_specs():
@@ -149,7 +190,7 @@ class TestGridExecution:
         eva_row = next(row for row in table.rows if row[0] == "Eva")
         assert "±" in eva_row[2]
         # trial values come from the same scenarios a single-seed run uses
-        aggregate = run.value.by_label()["Eva"]
+        aggregate = next(a for a in run.value if a.label == "Eva")
         single = run_experiment(
             "table11", ExperimentContext(seed=1, store=store)
         )

@@ -10,6 +10,7 @@ from repro.cluster.state import tasks_fit_on_type
 from repro.cluster.task import make_job
 from repro.core.evaluation import TNRPEvaluator
 from repro.core.full_reconfig import full_reconfiguration
+from repro.core.partial_reconfig import partial_reconfiguration
 from repro.core.heterogeneous import (
     FamilySpeedProfile,
     HeterogeneousEvaluator,
@@ -138,6 +139,24 @@ class TestHeterogeneousPacking:
         ).tasks[0]
         with pytest.raises(InfeasibleTaskError):
             full_reconfiguration([task], catalog, self._evaluator(catalog))
+
+    def test_partial_keeps_the_instance_full_would_place(self, catalog):
+        """Partial Reconfiguration values a survivor on its own family:
+        an instance Algorithm 1 would pick is kept, not drained."""
+        task = _cpu_task()
+        ev = self._evaluator(
+            catalog, FamilySpeedProfile(speeds={"W": {"c7i": 2.0}})
+        )
+        (placed,) = full_reconfiguration([task], catalog, ev)
+        assert placed.instance_type.name == "c7i.xlarge"
+        result = partial_reconfiguration(
+            [(placed.instance, [task])], [], catalog, ev
+        )
+        assert result.drained_instance_ids == frozenset()
+        assert result.repacked_task_ids == frozenset()
+        assert [(p.instance, p.tasks) for p in result.configuration] == [
+            (placed.instance, (task,))
+        ]
 
     def test_speedy_family_attracts_tasks(self, catalog):
         """Tasks that run 3x faster on R7i should land on R7i."""

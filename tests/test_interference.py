@@ -79,11 +79,6 @@ class TestModel:
         assert model.pairwise("ResNet18", "ResNet18") == 0.5
         assert model.pairwise("ResNet18", "GCN") == 1.0  # absent -> neutral
 
-    def test_job_throughput_is_straggler(self):
-        model = InterferenceModel()
-        assert model.job_throughput([0.9, 0.7, 1.0]) == 0.7
-        assert model.job_throughput([]) == 1.0
-
     def test_no_interference_model(self):
         model = no_interference_model()
         assert model.task_throughput("GCN", ["A3C", "GPT2"]) == 1.0

@@ -95,8 +95,3 @@ class TestSimulationResult:
         assert list(xs) == sorted(xs)
         assert list(ys) == sorted(ys)
         assert ys[-1] == pytest.approx(1.0)
-
-    def test_summary_row_keys(self):
-        row = _result("Eva", 10.0).summary_row()
-        assert row["scheduler"] == "Eva"
-        assert "total_cost" in row and "jct_hours" in row

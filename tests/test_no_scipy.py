@@ -34,6 +34,7 @@ sys.modules["scipy"] = None
 
 import repro
 import repro.experiments
+repro.experiments.experiment_ids()  # imports every spec module
 from repro.sim import run_scenario
 from repro.sim.batch import Scenario, TraceSpec, trace_builder_names
 

@@ -46,7 +46,6 @@ class TestLedger:
         ledger.on_launch("i-2", IT, 0.0)
         ledger.on_terminate("i-1", 10.0)
         assert ledger.active_instance_ids() == ["i-2"]
-        assert ledger.active_hourly_cost() == pytest.approx(3.6)
         assert ledger.instances_launched() == 2
 
     def test_uptimes_hours(self):
@@ -56,12 +55,3 @@ class TestLedger:
         ledger.on_launch("i-2", IT, 0.0)
         uptimes = sorted(ledger.uptimes_hours(7200.0))
         assert uptimes == pytest.approx([1.0, 2.0])
-
-    def test_cost_by_family(self):
-        other = InstanceType("o", "g", ResourceVector(0, 1, 1), 7.2)
-        ledger = BillingLedger()
-        ledger.on_launch("i-1", IT, 0.0)
-        ledger.on_launch("i-2", other, 0.0)
-        by_family = ledger.cost_by_family(3600.0)
-        assert by_family["f"] == pytest.approx(3.6)
-        assert by_family["g"] == pytest.approx(7.2)

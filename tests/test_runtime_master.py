@@ -89,14 +89,6 @@ class TestEvaIterator:
         assert consumed == list(range(10))
         assert it.total_iterations == 10
 
-    def test_normalized_throughput_capped(self):
-        clock = {"t": 0.0}
-        it = EvaIterator(inner=(), clock=lambda: clock["t"])
-        for _ in range(100):
-            clock["t"] += 0.1
-            it.record_iteration()
-        assert it.normalized_throughput(standalone_iters_per_s=5.0, window_s=5.0) == 1.0
-
     def test_invalid_window(self):
         it = EvaIterator(inner=())
         with pytest.raises(ValueError):

@@ -39,11 +39,7 @@ from repro.core.protocol import (
     TerminateInstance,
     replay_decision,
 )
-from repro.sim.accounting import (
-    naive_deadline_totals,
-    naive_failure_totals,
-    naive_totals,
-)
+from repro.sim.accounting import deadline_totals, failure_totals, naive_totals
 from repro.sim.batch import Scenario, TraceSpec, run_batch
 from repro.sim.metrics import AllocationIntegrator, SimulationResult
 from repro.sim.simulator import (
@@ -121,23 +117,21 @@ def check_invariants(
 def check_failure_consistency(result: SimulationResult) -> None:
     """The reliability records must be complete and self-consistent.
 
-    * the naive re-scan of the failure/repair records reproduces the
-      incremental O(1)-per-event counters bit for bit (records are
-      stored in dispatch/recovery order — the accumulation order);
+    * the result's restart and work-lost totals are the sums over its
+      failure records (stored in dispatch order);
     * every repair span is non-negative and goodput is a fraction;
     * a fault-free run carries exactly the zero defaults (so its pickle
       stays byte-identical to the pre-failure-subsystem encoding).
     """
-    failures, restarts, lost, repairs, repair_s = naive_failure_totals(
-        result.failure_outcomes, result.repair_outcomes
-    )
-    assert failures == result.instance_failures
+    restarts, lost = failure_totals(result.failure_outcomes)
     assert restarts == result.task_restarts
     assert lost == result.work_lost_h
-    assert repairs == len(result.repair_outcomes)
-    # statistics.mean is exact (fraction arithmetic); the naive float
-    # sum may differ in the last ulp, so the *mean* is approx — the
-    # bit-for-bit contract lives on the totals above.
+    repairs = len(result.repair_outcomes)
+    repair_s = 0.0
+    for repair in result.repair_outcomes:
+        repair_s += repair.recovered_s - repair.failed_s
+    # statistics.mean is exact (fraction arithmetic); the float sum may
+    # differ in the last ulp, so the *mean* is approx.
     assert result.mean_mttr_s() == pytest.approx(
         repair_s / repairs if repairs else 0.0, rel=1e-12, abs=0.0
     )
@@ -164,9 +158,8 @@ def check_slo_consistency(trace: Trace, result: SimulationResult) -> None:
       and from the matching :class:`~repro.sim.metrics.JobOutcome`;
     * attainment counts partition: met + missed == deadline-bearing
       jobs <= all jobs, and zero total lateness iff zero misses;
-    * the naive re-scan of the records reproduces the incremental
-      O(delta) totals bit for bit (the records are stored in finish
-      order, the order the totals accumulated in).
+    * the result's miss count and total lateness are the sums over
+      the records (stored in finish order).
     """
     deadline_jobs = {
         j.job_id: j for j in trace if j.deadline_hours is not None
@@ -207,9 +200,7 @@ def check_slo_consistency(trace: Trace, result: SimulationResult) -> None:
         assert result.deadline_attainment == 1.0
         assert result.deadline_total_lateness_s == 0.0
 
-    # Naive vs incremental SLO totals: byte-identical.
-    jobs, misses, lateness = naive_deadline_totals(records)
-    assert jobs == result.deadline_job_count
+    misses, lateness = deadline_totals(records)
     assert misses == result.deadline_miss_count
     assert lateness == result.deadline_total_lateness_s
 
@@ -298,6 +289,39 @@ def test_results_identical_across_hash_seeds():
         )
         outputs.add(proc.stdout.strip())
     assert len(outputs) == 1, f"hash-seed-dependent results: {outputs}"
+
+
+def test_results_independent_of_instance_id_start(monkeypatch):
+    """A run's result must not depend on how many instance ids its
+    process minted before it (a long sweep or fabric worker).
+
+    Regression test: ids were padded to six digits, so once the
+    process-global counter passed ``i-999999`` new ids sorted before
+    old ones and instance-id tie-breaks flipped.  This replay mints
+    about 540 ids, so a start of 999,801 crosses that boundary.
+    """
+    import itertools
+
+    import repro.cluster.instance as instance_module
+
+    trace = TraceSpec.make(
+        "alibaba-replay",
+        num_jobs=80,
+        seed=1,
+        arrival_rate_per_hour=40.0,
+        clip_hours=4.0,
+    ).build(default_seed=1)
+    pickled = []
+    for start in (1, 999_801):
+        counter = itertools.count(start)
+        monkeypatch.setattr(instance_module, "_instance_counter", counter)
+        sim = ClusterSimulator(
+            trace=trace, scheduler=make_scheduler("eva", ec2_catalog())
+        )
+        pickled.append(pickle.dumps(sim.run()))
+    # The second run minted ids past the six-digit boundary.
+    assert next(counter) > 1_000_000
+    assert pickled[0] == pickled[1]
 
 
 class _RecordingScheduler(Scheduler):
@@ -470,8 +494,7 @@ def _fuzz_scenario(seed: int) -> Scenario:
     cadence and overhead) × period, on top of a seed-sized synthetic
     trace.  Everything derives from ``seed``, so a failing case replays
     exactly; ``validate=True`` arms the per-event accounting cross-check
-    (including the naive failure/repair totals) and decision replay
-    inside the run itself.
+    and decision replay inside the run itself.
     """
     rng = np.random.default_rng(100_000 + seed)
     scheduler = ["eva", "eva-deadline", "eva-eviction-aware", "stratus",
@@ -588,11 +611,10 @@ def _fuzz_scenario(seed: int) -> Scenario:
 def _simulate(
     scenario: Scenario,
     scheduler: Scheduler,
-    sim_cls=ClusterSimulator,
     delay_model: DelayModel | None = None,
 ) -> SimulationResult:
     """Run ``scenario``'s trace and environment under ``scheduler``."""
-    sim = sim_cls(
+    sim = ClusterSimulator(
         trace=scenario.trace.build(default_seed=scenario.seed),
         scheduler=scheduler,
         delay_model=delay_model,
@@ -605,49 +627,12 @@ def _simulate(
     return sim.run()
 
 
-class _NaiveSLOSimulator(ClusterSimulator):
-    """Recomputes the SLO aggregates from scratch on every accounting step.
-
-    Overwrites the incremental counters with a full re-scan of the
-    finish-order records — results must stay byte-identical to the
-    O(delta) path.
-    """
-
-    def _account_until(self, time_s: float) -> None:
-        super()._account_until(time_s)
-        jobs, misses, lateness = naive_deadline_totals(self._deadline_outcomes)
-        self._acct.deadline_jobs = jobs
-        self._acct.deadline_misses = misses
-        self._acct.deadline_lateness_s = lateness
-
-
-class _NaiveFailureSimulator(ClusterSimulator):
-    """Recomputes the reliability aggregates from scratch every step.
-
-    Same pattern as :class:`_NaiveSLOSimulator`, for the failure side:
-    the O(1)-per-event restart/work-lost/repair counters are overwritten
-    with a full replay of the dispatch-order records — results must stay
-    byte-identical to the incremental path.
-    """
-
-    def _account_until(self, time_s: float) -> None:
-        super()._account_until(time_s)
-        failures, restarts, lost, repairs, repair_s = naive_failure_totals(
-            self._failure_outcomes, self._repair_outcomes
-        )
-        self._acct.instance_failures = failures
-        self._acct.task_restarts = restarts
-        self._acct.work_lost_h = lost
-        self._acct.repairs = repairs
-        self._acct.repair_time_s = repair_s
-
-
 class TestFuzzedScenarioInvariants:
     """Property-style fuzz layer over the full scenario space.
 
     Every generated case — scheduler × spot/notice × deadlines ×
     warning horizon — must satisfy the conservation laws, keep the SLO
-    accounting consistent (naive == incremental, bit for bit), and
+    and reliability records consistent with the result's totals, and
     produce byte-identical results serially and through the parallel
     batch path.
     """
@@ -676,28 +661,6 @@ class TestFuzzedScenarioInvariants:
             assert pickle.dumps(s_out.result) == pickle.dumps(p_out.result), (
                 s_out.scenario.name
             )
-
-    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
-    def test_fuzzed_slo_totals_naive_vs_incremental_byte_identical(
-        self, seed, catalog
-    ):
-        scenario = _fuzz_scenario(seed)
-        results = [
-            _simulate(scenario, make_scheduler(scenario.scheduler, catalog), cls)
-            for cls in (ClusterSimulator, _NaiveSLOSimulator)
-        ]
-        assert pickle.dumps(results[0]) == pickle.dumps(results[1])
-
-    @pytest.mark.parametrize("seed", [1, 5, 9, 14])
-    def test_fuzzed_failure_totals_naive_vs_incremental_byte_identical(
-        self, seed, catalog
-    ):
-        scenario = _fuzz_scenario(seed)
-        results = [
-            _simulate(scenario, make_scheduler(scenario.scheduler, catalog), cls)
-            for cls in (ClusterSimulator, _NaiveFailureSimulator)
-        ]
-        assert pickle.dumps(results[0]) == pickle.dumps(results[1])
 
     def test_fuzz_space_actually_covers_deadlines_and_schedulers(self):
         """The generator must exercise the axes it claims to fuzz."""

@@ -118,19 +118,24 @@ class TestOnlineLearning:
         assert learned == pytest.approx(0.93, abs=0.02)
 
     def test_learning_is_lower_bound_of_truth(self, catalog):
+        from repro.core.throughput_table import TaskPlacementObservation
         from repro.interference.matrix import pairwise_throughput
 
+        names = ("ViT", "CycleGAN", "OpenFOAM", "Diamond", "A3C")
         trace = _trace(
             [
                 workload(name).make_job(
                     duration_hours=1.5, arrival_time_s=i * 600.0, job_id=f"j{i}"
                 )
-                for i, name in enumerate(
-                    ("ViT", "CycleGAN", "OpenFOAM", "Diamond", "A3C")
-                )
+                for i, name in enumerate(names)
             ]
         )
         eva = EvaScheduler(catalog)
         run_simulation(trace, eva, validate=True)
-        for (w, other), value in eva.monitor.table.pairwise_snapshot().items():
-            assert value <= pairwise_throughput(w, other) + 1e-6
+        for w in names:
+            for other in names:
+                value = eva.monitor.table.recorded_tput(
+                    TaskPlacementObservation(w, (other,))
+                )
+                if value is not None:
+                    assert value <= pairwise_throughput(w, other) + 1e-6

@@ -79,10 +79,10 @@ class TestSnapshot:
         snap = _snapshot(
             tasks, {inst: [tasks[0].task_id, tasks[1].task_id]}
         )
-        assert snap.instance_of(tasks[0].task_id).instance_id == inst.instance_id
+        state = snap.instance_of(tasks[0].task_id)
+        assert state.instance_id == inst.instance_id
+        assert state.task_ids == {tasks[0].task_id, tasks[1].task_id}
         assert snap.instance_of(tasks[2].task_id) is None
-        co = snap.co_located_tasks(tasks[0].task_id)
-        assert [t.task_id for t in co] == [tasks[1].task_id]
 
 
 class TestTargetConfiguration:
@@ -143,8 +143,12 @@ class TestDiff:
         diff = diff_configuration(snap, target)
         assert [ti.instance_id for ti in diff.launches] == [added.instance_id]
         assert diff.terminations == (dropped.instance_id,)
-        assert diff.num_migrations == 1  # task 1 moved dropped -> kept
-        assert diff.num_placements == 1  # task 2 placed fresh
+        sources = {tid: src for tid, src, _ in diff.migrations}
+        # Task 1 moved dropped -> kept; task 2 placed fresh.
+        assert sources == {
+            tasks[1].task_id: dropped.instance_id,
+            tasks[2].task_id: None,
+        }
         assert tasks[0].task_id in diff.unchanged_tasks
 
     def test_empty_diff(self):
@@ -154,4 +158,4 @@ class TestDiff:
         target = TargetConfiguration.from_pairs([(inst, [tasks[0].task_id])])
         diff = diff_configuration(snap, target)
         assert not diff.launches and not diff.terminations
-        assert diff.num_migrations == 0 and diff.num_placements == 0
+        assert diff.migrations == ()

@@ -61,7 +61,7 @@ class TestAttributionRules:
         updated = table.observe_multi_task_job(observations, 0.8)
         assert updated == observations[1]
         assert table.tput("A", ["X", "Y"]) == 0.8
-        assert not table.has_pairwise("A", "X")
+        assert not table.is_recorded(obs("A", "X"))
 
     def test_rule2_raises_pessimistic_entry(self):
         table = CoLocationThroughputTable()
