@@ -99,7 +99,7 @@ def partial_reconfiguration(
     survivors: list[PackedInstance] = []
     subset: list[Task] = list(unassigned)
     drained: list[tuple[Instance, frozenset[str]]] = []
-    # ``evaluator.for_type`` once per instance type in this call.
+    # Bound once per instance type, not per instance: this runs every round.
     bound: dict[str, AssignmentEvaluator] = {}
 
     for instance, tasks in current:
