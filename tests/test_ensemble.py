@@ -252,6 +252,20 @@ class TestPolicy:
         assert policy.full_adoption_fraction() == pytest.approx(0.0)
         assert policy.decisions == 4
 
+    def test_adoption_fraction_counts_recorded_decisions(self):
+        policy = EnsemblePolicy()
+        assert policy.full_adoption_fraction() == 0.0
+        full = policy.weigh(s_f=5.0, s_p=0.0, m_f=0.0, m_p=0.0)
+        partial = policy.weigh(s_f=0.0, s_p=5.0, m_f=0.0, m_p=0.0)
+        assert full.adopted_full and not partial.adopted_full
+        # weigh() records nothing; record() counts each replayed decision.
+        assert policy.decisions == 0
+        for decision in (full, partial, partial, full, partial):
+            policy.record(decision)
+        assert policy.decisions == 5
+        assert policy.estimator.full_adoptions == 2
+        assert policy.full_adoption_fraction() == 2 / 5
+
     def test_higher_migration_delay_discourages_full(self, example_catalog):
         """Figure 5a's mechanism: raising M_F flips the decision."""
         calc = ReservationPriceCalculator(example_catalog)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.sim.accounting import deadline_totals, failure_totals
 from repro.sim.metrics import (
     AllocationIntegrator,
+    DeadlineOutcome,
+    FailureOutcome,
     JobOutcome,
     SimulationResult,
     normalize_costs,
@@ -95,3 +98,38 @@ class TestSimulationResult:
         assert list(xs) == sorted(xs)
         assert list(ys) == sorted(ys)
         assert ys[-1] == pytest.approx(1.0)
+
+
+class TestRunTotals:
+    """The result's SLO and reliability totals are folds over its records."""
+
+    def test_deadline_totals_count_only_late_records(self):
+        records = [
+            DeadlineOutcome("a", 10.0, finish_s=9.0, lateness_s=0.0),
+            DeadlineOutcome("b", 10.0, finish_s=10.1, lateness_s=0.1),
+            DeadlineOutcome("c", 10.0, finish_s=10.0, lateness_s=0.0),
+            DeadlineOutcome("d", 10.0, finish_s=10.2, lateness_s=0.2),
+            DeadlineOutcome("e", 10.0, finish_s=10.3, lateness_s=0.3),
+        ]
+        assert deadline_totals([]) == (0, 0.0)
+        misses, lateness = deadline_totals(records)
+        assert misses == 3
+        # Added in finish order: (0.1 + 0.2) + 0.3, not 0.1 + (0.2 + 0.3).
+        assert lateness == (0.1 + 0.2) + 0.3
+        assert lateness != 0.1 + (0.2 + 0.3)
+
+    def test_failure_totals_add_losses_in_record_order(self):
+        records = [
+            FailureOutcome(0, 5.0, 0, "crash", 2, (("a", 0.1),)),
+            FailureOutcome(3, 9.0, 1, "domain-shock", 3, ()),
+            FailureOutcome(
+                4, 9.0, 1, "domain-shock", 1, (("a", 0.2), ("b", 0.3))
+            ),
+        ]
+        assert failure_totals([]) == (0, 0.0)
+        restarts, lost = failure_totals(records)
+        assert restarts == 6
+        # Each per-job loss is added on its own, in stored order; summing
+        # the per-event totals instead would round differently.
+        assert lost == (0.1 + 0.2) + 0.3
+        assert lost != sum(r.work_lost_h for r in records)

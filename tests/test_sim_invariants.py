@@ -291,14 +291,16 @@ def test_results_identical_across_hash_seeds():
     assert len(outputs) == 1, f"hash-seed-dependent results: {outputs}"
 
 
-def test_results_independent_of_instance_id_start(monkeypatch):
+@pytest.mark.parametrize("scheduler", scheduler_names())
+def test_results_independent_of_instance_id_start(scheduler, monkeypatch):
     """A run's result must not depend on how many instance ids its
     process minted before it (a long sweep or fabric worker).
 
     Regression test: ids were padded to six digits, so once the
     process-global counter passed ``i-999999`` new ids sorted before
-    old ones and instance-id tie-breaks flipped.  This replay mints
-    about 540 ids, so a start of 999,801 crosses that boundary.
+    old ones and instance-id tie-breaks flipped.  The second run starts
+    half its mint count below ``1_000_000``, so its ids straddle that
+    boundary whatever the scheduler.
     """
     import itertools
 
@@ -311,17 +313,20 @@ def test_results_independent_of_instance_id_start(monkeypatch):
         arrival_rate_per_hour=40.0,
         clip_hours=4.0,
     ).build(default_seed=1)
-    pickled = []
-    for start in (1, 999_801):
+
+    def run_from(start: int) -> tuple[bytes, int]:
         counter = itertools.count(start)
         monkeypatch.setattr(instance_module, "_instance_counter", counter)
         sim = ClusterSimulator(
-            trace=trace, scheduler=make_scheduler("eva", ec2_catalog())
+            trace=trace, scheduler=make_scheduler(scheduler, ec2_catalog())
         )
-        pickled.append(pickle.dumps(sim.run()))
-    # The second run minted ids past the six-digit boundary.
-    assert next(counter) > 1_000_000
-    assert pickled[0] == pickled[1]
+        return pickle.dumps(sim.run()), next(counter) - start
+
+    fresh, minted = run_from(1)
+    assert minted >= 2
+    straddling, minted_again = run_from(1_000_000 - minted // 2)
+    assert minted_again == minted
+    assert fresh == straddling
 
 
 class _RecordingScheduler(Scheduler):
