@@ -10,22 +10,18 @@ Run:  python examples/alibaba_trace_replay.py [num_jobs]
 
 import sys
 
-from repro import ec2_catalog
-from repro.analysis import compare_schedulers, standard_scheduler_factories
+from repro.analysis import compare_schedulers
 from repro.workloads import synthesize_alibaba_trace
 
 
 def main(num_jobs: int = 200) -> None:
-    catalog = ec2_catalog()
     trace = synthesize_alibaba_trace(num_jobs, seed=0).head(num_jobs)
     print(
         f"replaying {len(trace)} Alibaba-like jobs "
         f"(GPU mix: {trace.gpu_demand_composition()})\n"
     )
 
-    comparison = compare_schedulers(
-        trace, standard_scheduler_factories(catalog)
-    )
+    comparison = compare_schedulers(trace)
     print(
         comparison.end_to_end_table(
             f"Experiment E2: first {num_jobs} Alibaba jobs, five schedulers"

@@ -12,7 +12,6 @@ from repro.analysis.comparison import (
     STANDARD_SCHEDULERS,
     ComparisonResult,
     compare_schedulers,
-    standard_scheduler_factories,
     standard_scheduler_names,
 )
 from repro.analysis.findings import Finding
@@ -33,7 +32,6 @@ __all__ = [
     "STANDARD_SCHEDULERS",
     "ComparisonResult",
     "compare_schedulers",
-    "standard_scheduler_factories",
     "standard_scheduler_names",
     "ExperimentTable",
     "percent",

@@ -8,25 +8,21 @@ schedulers are stateful learners) and the standard end-to-end table shape.
 Scheduler grids are expressed as ``{display name: registry name}`` (see
 :func:`repro.core.make_scheduler`) and executed through
 :func:`repro.sim.batch.run_batch`, so a comparison fans out over
-``EVA_BENCH_WORKERS`` processes; ``{display name: callable}`` grids are
-still accepted and run serially in-process (callables don't pickle).
+``EVA_BENCH_WORKERS`` processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.analysis.reporting import ExperimentTable, percent
 from repro.cloud.delays import DelayModel
-from repro.core.interfaces import Scheduler
 from repro.interference.model import InterferenceModel
 from repro.sim.batch import Scenario, TraceSpec, run_batch
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import DEFAULT_PERIOD_S, run_simulation
+from repro.sim.simulator import DEFAULT_PERIOD_S
 from repro.workloads.trace import Trace
-
-SchedulerFactory = Callable[[], Scheduler]
 
 #: The five evaluation schedulers (§6.1), display name → registry name.
 STANDARD_SCHEDULERS: dict[str, str] = {
@@ -41,34 +37,6 @@ STANDARD_SCHEDULERS: dict[str, str] = {
 def standard_scheduler_names() -> dict[str, str]:
     """A fresh copy of the standard display-name → registry-name grid."""
     return dict(STANDARD_SCHEDULERS)
-
-
-def standard_scheduler_factories(
-    catalog,
-    interference: InterferenceModel | None = None,
-    delay_model: DelayModel | None = None,
-) -> dict[str, SchedulerFactory]:
-    """The five evaluation schedulers as in-process factories.
-
-    Owl receives the ground-truth pairwise profile (§6.1 provides the
-    co-location profile exclusively to Owl).  Prefer
-    :func:`standard_scheduler_names` for anything batch-shaped — these
-    closures don't pickle.
-    """
-    from repro.core import make_scheduler
-
-    def factory_for(registry_name: str) -> SchedulerFactory:
-        return lambda: make_scheduler(
-            registry_name,
-            catalog,
-            interference=interference,
-            delay_model=delay_model,
-        )
-
-    return {
-        display: factory_for(registry_name)
-        for display, registry_name in STANDARD_SCHEDULERS.items()
-    }
 
 
 @dataclass
@@ -196,7 +164,7 @@ def comparison_from_results(
 
 def compare_schedulers(
     trace: Trace | TraceSpec,
-    factories: Mapping[str, SchedulerFactory | str] | None = None,
+    schedulers: Mapping[str, str] | None = None,
     interference: InterferenceModel | None = None,
     delay_model: DelayModel | None = None,
     period_s: float = DEFAULT_PERIOD_S,
@@ -210,49 +178,24 @@ def compare_schedulers(
     ``trace`` may be an inline :class:`Trace` or a
     :class:`~repro.sim.batch.TraceSpec` — pass a spec for large traces
     so workers rebuild it instead of unpickling one copy per scheduler.
-    ``factories`` maps display names to either scheduler *registry names*
-    (strings — the preferred form: those comparisons are expressed as
-    :class:`~repro.sim.batch.Scenario` lists and fan out over
-    ``EVA_BENCH_WORKERS``/``workers`` processes) or zero-argument
-    callables (run serially in-process).  ``None`` means the standard
-    five-scheduler grid.  ``store`` is an optional
+    ``schedulers`` maps display names to scheduler registry names, run as
+    :class:`~repro.sim.batch.Scenario` lists that fan out over
+    ``EVA_BENCH_WORKERS``/``workers`` processes; ``None`` means the
+    standard five.  ``store`` is an optional
     :class:`~repro.sim.results.ResultStore`; cached scenarios are served
-    without re-simulating (callable-backed entries never cache).
+    without re-simulating.
     """
-    if factories is None:
-        factories = standard_scheduler_names()
-    results: dict[str, SimulationResult] = {}
-
-    named = {
-        display: ref for display, ref in factories.items() if isinstance(ref, str)
-    }
     scenarios = comparison_scenarios(
         trace,
-        named,
+        schedulers,
         interference=interference,
         delay_model=delay_model,
         period_s=period_s,
         validate=validate,
         seed=seed,
     )
-    for outcome in run_batch(scenarios, workers=workers, store=store):
-        results[outcome.scenario.name] = outcome.result
-
-    has_callables = any(not isinstance(ref, str) for ref in factories.values())
-    if has_callables:
-        concrete = trace if isinstance(trace, Trace) else trace.build()
-        for display, ref in factories.items():
-            if isinstance(ref, str):
-                continue
-            results[display] = run_simulation(
-                concrete,
-                ref(),
-                interference=interference,
-                delay_model=delay_model,
-                period_s=period_s,
-                validate=validate,
-            )
-
-    # Preserve the caller's grid order (normalization tables iterate it).
-    results = {display: results[display] for display in factories}
+    results = {
+        outcome.scenario.name: outcome.result
+        for outcome in run_batch(scenarios, workers=workers, store=store)
+    }
     return comparison_from_results(trace, results)

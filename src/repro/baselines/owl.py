@@ -48,12 +48,10 @@ class OwlScheduler(Scheduler):
         self,
         catalog: Sequence[InstanceType],
         profile: InterferenceModel | None = None,
-        interference_floor: float = DEFAULT_INTERFERENCE_FLOOR,
     ):
         self.catalog = [it for it in catalog if not it.is_ghost]
         self.rp_calculator = ReservationPriceCalculator(self.catalog)
         self.profile = profile or InterferenceModel()
-        self.interference_floor = interference_floor
 
     # ------------------------------------------------------------------
     def _pair_metrics(
@@ -62,7 +60,7 @@ class OwlScheduler(Scheduler):
         """(TNRP/cost ratio, type) for a candidate pair, or None if unfit."""
         tput_a = self.profile.pairwise(a.workload, b.workload)
         tput_b = self.profile.pairwise(b.workload, a.workload)
-        if min(tput_a, tput_b) < self.interference_floor:
+        if min(tput_a, tput_b) < DEFAULT_INTERFERENCE_FLOOR:
             return None
         itype = self._cheapest_pair_type(a, b)
         if itype is None:
@@ -129,7 +127,7 @@ class OwlScheduler(Scheduler):
                     continue
                 tput_r = self.profile.pairwise(resident.workload, task.workload)
                 tput_t = self.profile.pairwise(task.workload, resident.workload)
-                if min(tput_r, tput_t) < self.interference_floor:
+                if min(tput_r, tput_t) < DEFAULT_INTERFERENCE_FLOOR:
                     continue
                 tnrp = tput_r * self.rp_calculator.rp(resident) + (
                     tput_t * self.rp_calculator.rp(task)

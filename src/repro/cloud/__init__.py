@@ -1,32 +1,16 @@
 """Simulated cloud platform: EC2 catalog, delays, billing, provider."""
 
-from repro.cloud.catalog import (
-    catalog_by_name,
-    cheapest_feasible_type,
-    ec2_catalog,
-    feasible_types,
-    paper_example_catalog,
-    sorted_by_cost_desc,
-)
+from repro.cloud.catalog import ec2_catalog, paper_example_catalog
 from repro.cloud.delays import DelayModel
 from repro.cloud.pricing import BillingLedger, BillingRecord
-from repro.cloud.provider import (
-    CapacityError,
-    LaunchReceipt,
-    SimulatedCloud,
-)
+from repro.cloud.provider import LaunchReceipt, SimulatedCloud
 
 __all__ = [
-    "catalog_by_name",
-    "cheapest_feasible_type",
     "ec2_catalog",
-    "feasible_types",
     "paper_example_catalog",
-    "sorted_by_cost_desc",
     "DelayModel",
     "BillingLedger",
     "BillingRecord",
-    "CapacityError",
     "LaunchReceipt",
     "SimulatedCloud",
 ]

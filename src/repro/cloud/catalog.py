@@ -14,11 +14,8 @@ catalog reproduces the same relative price structure the algorithms rely on.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from repro.cluster.instance import InstanceType
 from repro.cluster.resources import ResourceVector
-from repro.cluster.task import Task
 
 #: (name, family, gpus, vcpus, ram_gb, $/hr) — 3 P3 + 9 C7i + 9 R7i = 21.
 _EC2_SPECS: tuple[tuple[str, str, float, float, float, float], ...] = (
@@ -70,31 +67,3 @@ def paper_example_catalog() -> list[InstanceType]:
         InstanceType("it3", "cpu", ResourceVector(0, 8, 32), 0.8),
         InstanceType("it4", "cpu", ResourceVector(0, 4, 16), 0.4),
     ]
-
-
-def catalog_by_name(catalog: Iterable[InstanceType]) -> dict[str, InstanceType]:
-    return {it.name: it for it in catalog}
-
-
-def sorted_by_cost_desc(catalog: Iterable[InstanceType]) -> list[InstanceType]:
-    """Instance types in descending hourly cost — Algorithm 1's iteration order."""
-    return sorted(catalog, key=lambda it: (-it.hourly_cost, it.name))
-
-
-def feasible_types(task: Task, catalog: Iterable[InstanceType]) -> list[InstanceType]:
-    """Instance types whose capacity fits the task's family-specific demand."""
-    return [
-        it
-        for it in catalog
-        if task.demand_for(it.family).fits_within(it.capacity)
-    ]
-
-
-def cheapest_feasible_type(
-    task: Task, catalog: Sequence[InstanceType]
-) -> InstanceType | None:
-    """The reservation-price instance type of a task (§4.2), or None if none fits."""
-    feasible = feasible_types(task, catalog)
-    if not feasible:
-        return None
-    return min(feasible, key=lambda it: (it.hourly_cost, it.name))

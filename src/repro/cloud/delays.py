@@ -24,6 +24,7 @@ migration delays for the Figure 5 sensitivity sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +66,22 @@ class DelayModel:
             setup); kept separate so migration sweeps leave instance
             launch costs untouched, as in the paper.
         rng: Random generator for stochastic mode.
+
+    Both multipliers must be finite and non-negative (0 removes the
+    delay); anything else raises :class:`ValueError` here rather than
+    surfacing mid-run as a NaN makespan or an event in the past.
     """
 
     stochastic: bool = False
     migration_multiplier: float = 1.0
     instance_multiplier: float = 1.0
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+
+    def __post_init__(self) -> None:
+        for name in ("migration_multiplier", "instance_multiplier"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def __fingerprint__(self) -> dict:
         """Canonical content for the result-cache key.

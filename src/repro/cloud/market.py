@@ -1,7 +1,7 @@
 """Multi-provider spot-market economics (ROADMAP item 4).
 
 Eva's §7 spot extension prices capacity with one static catalog and a
-flat ``spot_discount``.  This module adds the *market* underneath: named
+flat ``SPOT_DISCOUNT``.  This module adds the *market* underneath: named
 provider/region pools, each covering a slice of the instance-type
 catalog, with finite capacity and its own deterministic seeded price
 process.  Prices are piecewise-constant multipliers on the catalog's

@@ -1,11 +1,10 @@
 """Simulated cloud provider (stands in for AWS EC2, §5).
 
 The provider grants instance launch requests after an acquisition + setup
-delay (Table 1), bills per second from the launch request
-(:mod:`repro.cloud.pricing`), and models per-availability-zone stockouts:
-the paper's Provisioner "retries in other availability zones until an
-instance is successfully provisioned" (§6.1), each retry adding one
-acquisition round-trip.
+delay (Table 1) and bills per second from the launch request
+(:mod:`repro.cloud.pricing`).  Capacity is always available: the paper's
+Provisioner retries other availability zones on a stockout (§6.1), but
+no evaluated run stocks out, so a launch costs one acquisition draw.
 
 The provider is deliberately control-plane-only — it knows nothing about
 tasks.  Task execution is the simulator's (or runtime's) job.
@@ -16,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.cloud.delays import DelayModel
 from repro.cloud.pricing import BillingLedger
 from repro.cluster.instance import Instance, InstanceType, fresh_instance
@@ -25,8 +22,9 @@ from repro.cluster.instance import Instance, InstanceType, fresh_instance
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.market import MarketRuntime
 
-#: Default AZ list, mirroring a typical us-east-1 layout.
-DEFAULT_ZONES = ("az-a", "az-b", "az-c", "az-d")
+#: Price multiplier for spot launches (EC2 spot typically trades at
+#: ~30% of on-demand).
+SPOT_DISCOUNT = 0.3
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,8 +35,6 @@ class LaunchReceipt:
         instance: The instance that will come up.
         request_time_s: When the launch was requested (billing starts here).
         ready_time_s: When the instance can start running tasks.
-        zone: Availability zone that granted the request.
-        attempts: Number of AZs tried (1 = default zone had capacity).
         spot: Whether this is a preemptible spot launch.
         hourly_rate: Billed rate — the on-demand price, or the discounted
             spot price for spot launches, scaled by the market pool's
@@ -52,32 +48,19 @@ class LaunchReceipt:
     instance: Instance
     request_time_s: float
     ready_time_s: float
-    zone: str
-    attempts: int
     spot: bool = False
     hourly_rate: float = 0.0
     pool: str | None = None
     pool_exhausted: bool = False
 
 
-class CapacityError(RuntimeError):
-    """Raised when no availability zone can grant an instance type."""
-
-
 @dataclass
 class SimulatedCloud:
-    """An EC2-like provider with launch delays and AZ stockouts.
+    """An EC2-like provider with launch delays.
 
     Attributes:
         delay_model: Source of acquisition/setup delays.
-        zones: Availability-zone names, tried in order.
-        stockout_probability: Chance that a given AZ cannot grant a request
-            (independent per attempt).  0.0 — the default — means capacity
-            is always available in the first zone.
-        rng: Random generator for stockout draws.
         ledger: Billing ledger (shared with the metrics collector).
-        spot_discount: Price multiplier for spot launches (EC2 spot
-            typically trades at ~30% of on-demand; default 0.3).
         market: Optional :class:`~repro.cloud.market.MarketRuntime`.
             When attached, launches price through :meth:`price_at`
             (pool multiplier on top of the catalog rate), charge pool
@@ -87,18 +70,8 @@ class SimulatedCloud:
     """
 
     delay_model: DelayModel = field(default_factory=DelayModel)
-    zones: tuple[str, ...] = DEFAULT_ZONES
-    stockout_probability: float = 0.0
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     ledger: BillingLedger = field(default_factory=BillingLedger)
-    spot_discount: float = 0.3
     market: "MarketRuntime | None" = None
-
-    def __post_init__(self) -> None:
-        if not self.zones:
-            raise ValueError("provider needs at least one availability zone")
-        if not 0.0 <= self.stockout_probability < 1.0:
-            raise ValueError("stockout_probability must be in [0, 1)")
 
     # ------------------------------------------------------------------
     # Launch / terminate
@@ -110,33 +83,12 @@ class SimulatedCloud:
         instance: Instance | None = None,
         spot: bool = False,
     ) -> LaunchReceipt:
-        """Request one instance; returns when/where it will be ready.
+        """Request one instance; returns when it will be ready.
 
-        Billing starts at the request time.  Each stocked-out AZ adds one
-        acquisition delay before the next attempt; if every AZ is stocked
-        out, :class:`CapacityError` is raised (billing is not started).
-
-        ``instance`` lets callers that pre-allocated an instance identity
-        (e.g. a scheduler's planned configuration) keep that identity.
+        Billing starts at the request time.  ``instance`` lets callers
+        that pre-allocated an instance identity (e.g. a scheduler's
+        planned configuration) keep that identity.
         """
-        acquisition_total = 0.0
-        granted_zone: str | None = None
-        attempts = 0
-        for zone in self.zones:
-            attempts += 1
-            acquisition_total += self.delay_model.acquisition_s()
-            stocked_out = (
-                self.stockout_probability > 0.0
-                and float(self.rng.random()) < self.stockout_probability
-            )
-            if not stocked_out:
-                granted_zone = zone
-                break
-        if granted_zone is None:
-            raise CapacityError(
-                f"no capacity for {instance_type.name} in any of {len(self.zones)} zones"
-            )
-
         if instance is None:
             instance = fresh_instance(instance_type)
         elif instance.instance_type is not instance_type:
@@ -144,7 +96,9 @@ class SimulatedCloud:
                 f"instance {instance.instance_id} is of type "
                 f"{instance.instance_type.name}, not {instance_type.name}"
             )
-        ready_time_s = time_s + acquisition_total + self.delay_model.setup_s()
+        ready_time_s = (
+            time_s + self.delay_model.acquisition_s() + self.delay_model.setup_s()
+        )
         rate = self.price_at(instance_type, time_s, spot=spot)
         pool_name: str | None = None
         pool_exhausted = False
@@ -166,8 +120,6 @@ class SimulatedCloud:
             instance=instance,
             request_time_s=time_s,
             ready_time_s=ready_time_s,
-            zone=granted_zone,
-            attempts=attempts,
             spot=spot,
             hourly_rate=rate,
             pool=pool_name,
@@ -184,7 +136,7 @@ class SimulatedCloud:
         owning pool's current price multiplier.  Without a market the
         arithmetic is exactly the legacy launch-time constant.
         """
-        rate = instance_type.hourly_cost * (self.spot_discount if spot else 1.0)
+        rate = instance_type.hourly_cost * (SPOT_DISCOUNT if spot else 1.0)
         if self.market is not None:
             rate *= self.market.multiplier_at(instance_type, time_s)
         return rate

@@ -15,7 +15,6 @@ from repro.cluster.state import (
     TargetConfiguration,
     TargetInstance,
     diff_configuration,
-    remaining_capacity,
     tasks_fit_on_type,
 )
 from repro.cluster.task import DEFAULT_FAMILY, Job, MigrationDelays, Task, make_job
@@ -34,7 +33,6 @@ __all__ = [
     "TargetConfiguration",
     "TargetInstance",
     "diff_configuration",
-    "remaining_capacity",
     "tasks_fit_on_type",
     "DEFAULT_FAMILY",
     "Job",

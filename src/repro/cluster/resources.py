@@ -105,10 +105,6 @@ class ResourceVector:
             and self.ram_gb <= capacity.ram_gb + _EPS
         )
 
-    def dominates(self, other: "ResourceVector") -> bool:
-        """True if this vector is >= ``other`` in every dimension."""
-        return other.fits_within(self)
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------

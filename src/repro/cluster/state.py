@@ -29,14 +29,6 @@ def tasks_fit_on_type(tasks: Iterable[Task], instance_type: InstanceType) -> boo
     return total.fits_within(instance_type.capacity)
 
 
-def remaining_capacity(
-    instance_type: InstanceType, tasks: Iterable[Task]
-) -> ResourceVector:
-    """Capacity left on an instance of ``instance_type`` hosting ``tasks``."""
-    used = ResourceVector.sum(t.demand_for(instance_type.family) for t in tasks)
-    return instance_type.capacity - used
-
-
 @dataclass(frozen=True, slots=True)
 class InstanceState:
     """One provisioned instance and the tasks currently assigned to it."""
@@ -81,12 +73,6 @@ class ClusterSnapshot:
     def unassigned_tasks(self) -> list[Task]:
         assigned = self.assigned_task_ids()
         return [t for tid, t in self.tasks.items() if tid not in assigned]
-
-    def instance_of(self, task_id: str) -> InstanceState | None:
-        for state in self.instances:
-            if task_id in state.task_ids:
-                return state
-        return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,9 +34,6 @@ class MigrationDelays:
     checkpoint_s: float
     launch_s: float
 
-    def total_s(self) -> float:
-        return self.checkpoint_s + self.launch_s
-
 
 @dataclass(frozen=True, slots=True)
 class Task:

@@ -29,7 +29,6 @@ from repro.core.full_reconfig import (
     configuration_cost,
     full_reconfiguration,
     match_existing_instances,
-    packing_summary,
 )
 from repro.core.heterogeneous import (
     FamilySpeedProfile,
@@ -230,7 +229,6 @@ __all__ = [
     "configuration_cost",
     "full_reconfiguration",
     "match_existing_instances",
-    "packing_summary",
     "FamilySpeedProfile",
     "HeterogeneousEvaluator",
     "HeterogeneousRPCalculator",

@@ -34,6 +34,9 @@ from repro.core.evaluation import AssignmentEvaluator
 _P_MIN, _P_MAX = 1e-3, 1.0 - 1e-3
 _LAMBDA_MIN = 1e-6
 
+#: λ before the first observation window closes (events per hour).
+PRIOR_RATE_PER_HOUR = 1.0
+
 
 def mean_time_to_full_reconfig_hours(lambda_per_hour: float, p: float) -> float:
     """Closed-form D̂ = −1/(λ ln(1−p)) with clamped inputs (§4.5)."""
@@ -50,7 +53,6 @@ class PoissonEventEstimator:
     (add-one) so early rounds neither pin D̂ at infinity nor at zero.
     """
 
-    prior_rate_per_hour: float = 1.0
     total_events: int = 0
     full_adoptions: int = 0
     first_time_s: float | None = None
@@ -77,7 +79,7 @@ class PoissonEventEstimator:
             or self.last_time_s <= self.first_time_s
             or self.total_events == 0
         ):
-            return self.prior_rate_per_hour
+            return PRIOR_RATE_PER_HOUR
         hours = (self.last_time_s - self.first_time_s) / 3600.0
         return max(_LAMBDA_MIN, self.total_events / hours)
 

@@ -102,10 +102,6 @@ class AssignmentEvaluator(ABC):
         """
         return None
 
-    def is_cost_efficient(self, tasks: Sequence[Task], hourly_cost: float) -> bool:
-        """§4.2/§4.3 criterion: set value must cover the instance's cost."""
-        return self.set_value(tasks) >= hourly_cost - 1e-9
-
 
 # ----------------------------------------------------------------------
 # Plain reservation price

@@ -28,6 +28,7 @@ measured in the Table 5 bench).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -349,23 +350,24 @@ class PackMemo:
     rounds, so a small cap suffices).
     """
 
-    __slots__ = ("_entries", "max_entries", "_packs", "max_pack_entries")
+    __slots__ = ("_entries", "_packs")
 
-    def __init__(self, max_entries: int = 64, max_pack_entries: int = 8192):
+    MAX_ENTRIES = 64
+    #: Pack-attempt entries are a (pop-key sequence, value) pair, a few
+    #: machine words each, so their cap is generous.
+    MAX_PACK_ENTRIES = 8192
+
+    def __init__(self) -> None:
         self._entries: dict[tuple, tuple] = {}
-        self.max_entries = max_entries
         #: Inner-loop memo: one entry per (token, type, pool fingerprint)
-        #: pack attempt — see :func:`_pack_one_instance`.  Entries are a
-        #: (pop-key sequence, value) pair, a few machine words each, so
-        #: the cap is generous.
+        #: pack attempt — see :func:`_pack_one_instance`.
         self._packs: dict[tuple, tuple] = {}
-        self.max_pack_entries = max_pack_entries
 
     def get(self, key: tuple) -> tuple | None:
         return self._entries.get(key)
 
     def put(self, key: tuple, value: tuple) -> None:
-        if len(self._entries) >= self.max_entries:
+        if len(self._entries) >= self.MAX_ENTRIES:
             self._entries.clear()
         self._entries[key] = value
 
@@ -373,7 +375,7 @@ class PackMemo:
         return self._packs.get(key)
 
     def put_pack(self, key: tuple, entry: tuple) -> None:
-        if len(self._packs) >= self.max_pack_entries:
+        if len(self._packs) >= self.MAX_PACK_ENTRIES:
             self._packs.clear()
         self._packs[key] = entry
 
@@ -407,8 +409,8 @@ def full_reconfiguration(
     the §4.2 heterogeneous extension).  A task no type can host raises
     :class:`~repro.core.reservation_price.InfeasibleTaskError`.
     """
-    if cost_margin < 0:
-        raise ValueError("cost_margin must be >= 0")
+    if not 0.0 <= cost_margin < math.inf:
+        raise ValueError(f"cost_margin must be finite and >= 0, got {cost_margin!r}")
     pool = _TaskPool(tasks, evaluator, group_identical)
     memo_key: tuple | None = None
     token: tuple | None = None
@@ -527,14 +529,3 @@ def match_existing_instances(
             del by_type[pi.instance_type.name]
         relabelled.append(PackedInstance(instance=live_instance, tasks=pi.tasks))
     return relabelled
-
-
-def packing_summary(packed: Sequence[PackedInstance]) -> dict[str, float]:
-    """Quick aggregate stats used by tests and reports."""
-    num_tasks = sum(len(p.tasks) for p in packed)
-    return {
-        "instances": float(len(packed)),
-        "tasks": float(num_tasks),
-        "hourly_cost": configuration_cost(packed),
-        "tasks_per_instance": num_tasks / len(packed) if packed else 0.0,
-    }

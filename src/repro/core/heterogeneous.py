@@ -35,12 +35,11 @@ from typing import Mapping, Sequence
 from repro.cluster.instance import InstanceType
 from repro.cluster.task import Job, Task
 from repro.core.evaluation import AssignmentEvaluator, PackState, _TNRPPackState
-from repro.core.reservation_price import (
-    InfeasibleTaskError,
-    ReservationPriceCalculator,
-    _demand_signature,
-)
+from repro.core.reservation_price import InfeasibleTaskError, _demand_signature
 from repro.core.throughput_table import CoLocationThroughputTable
+
+#: Speed of a (workload, family) pair the profile does not list.
+DEFAULT_SPEED = 1.0
 
 
 @dataclass(frozen=True)
@@ -49,17 +48,16 @@ class FamilySpeedProfile:
 
     ``speeds[workload][family]`` is the task's standalone rate on that
     family relative to its reference family; missing entries default to
-    ``default_speed`` (1.0: family makes no difference).
+    :data:`DEFAULT_SPEED` (family makes no difference).
     """
 
     speeds: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
-    default_speed: float = 1.0
 
     def speed(self, workload: str, family: str) -> float:
         row = self.speeds.get(workload)
         if row is None:
-            return self.default_speed
-        return row.get(family, self.default_speed)
+            return DEFAULT_SPEED
+        return row.get(family, DEFAULT_SPEED)
 
 
 @dataclass
@@ -183,16 +181,3 @@ class HeterogeneousEvaluator(AssignmentEvaluator):
         job = self.jobs.get(task.job_id) if self.multi_task_aware else None
         arity = job.num_tasks if job is not None else 1
         return (task.workload, _demand_signature(task), arity)
-
-
-def reduces_to_homogeneous(
-    calculator: HeterogeneousRPCalculator,
-    homogeneous: ReservationPriceCalculator,
-    task: Task,
-) -> bool:
-    """True if, with unit speeds, both calculators agree on RP(task).
-
-    Used by the property tests: the heterogeneous extension must collapse
-    to the paper's base definition when families do not matter.
-    """
-    return abs(calculator.rp(task) - homogeneous.rp(task)) < 1e-9

@@ -114,13 +114,6 @@ class ReservationPriceCalculator:
         """``RP(T) = Σ RP(τ)`` (§4.2)."""
         return sum(self.rp(t) for t in tasks)
 
-    def is_cost_efficient(
-        self, tasks: Iterable[Task], instance_type: InstanceType, value: float | None = None
-    ) -> bool:
-        """The §4.2 criterion: RP (or supplied value) ≥ instance hourly cost."""
-        total = value if value is not None else self.rp_of_set(tasks)
-        return total >= instance_type.hourly_cost - 1e-9
-
     def _lookup(self, task: Task) -> tuple[InstanceType, float]:
         hit = self._by_task_id.get(task.task_id)
         if hit is not None:

@@ -24,6 +24,7 @@ levers that :class:`EvaScheduler` combines in one place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
@@ -93,8 +94,11 @@ class EvaConfig:
     def __post_init__(self) -> None:
         if not (self.enable_full or self.enable_partial):
             raise ValueError("at least one of Full/Partial must be enabled")
-        if self.efficiency_margin < 0:
-            raise ValueError("efficiency_margin must be >= 0")
+        if not 0.0 <= self.efficiency_margin < math.inf:
+            raise ValueError(
+                "efficiency_margin must be finite and >= 0, "
+                f"got {self.efficiency_margin!r}"
+            )
 
 
 def _to_target(packed: Sequence[PackedInstance]) -> TargetConfiguration:

@@ -227,9 +227,6 @@ class CoLocationThroughputTable:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def num_exact_entries(self) -> int:
-        return len(self._exact)
-
     @property
     def version(self) -> int:
         """Monotonic counter of value-changing updates (cache epoch)."""

@@ -162,9 +162,11 @@ def grid_cells(
 ) -> tuple[GridCell, ...]:
     """Build the standard (point × scheduler) cell list.
 
-    Mirrors :func:`repro.sim.batch.run_grid`'s construction — including
-    the ``"{display}@{point}"`` default label — so grids built here run
-    the byte-identical scenarios the old per-module sweeps ran.
+    ``make_scenario(point, registry_name)`` builds one cell's scenario;
+    when it leaves ``name`` unset, the cell is labelled
+    ``"{display}@{point}"``.  Cells carry their point and display name,
+    so :meth:`ScenarioGrid.results_by_point` pairs each result with the
+    cell that built it.
     """
     from dataclasses import replace
 

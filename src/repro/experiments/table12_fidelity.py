@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.comparison import STANDARD_SCHEDULERS
 from repro.analysis.reporting import ExperimentTable
-from repro.analysis.comparison import standard_scheduler_factories
 from repro.cloud.catalog import ec2_catalog
 from repro.cloud.delays import DelayModel
+from repro.core import make_scheduler
 from repro.experiments.registry import (
     ExperimentContext,
     ExperimentSpec,
@@ -43,11 +44,11 @@ def _run(ctx: ExperimentContext) -> Table12Result:
 
     rows = []
     max_diff = 0.0
-    for name, factory in standard_scheduler_factories(catalog).items():
-        simulated = run_simulation(trace, factory())
+    for name, registry_name in STANDARD_SCHEDULERS.items():
+        simulated = run_simulation(trace, make_scheduler(registry_name, catalog))
         physical_proxy = run_simulation(
             trace,
-            factory(),
+            make_scheduler(registry_name, catalog),
             delay_model=DelayModel(
                 stochastic=True, rng=np.random.default_rng(seed + 1)
             ),

@@ -25,6 +25,9 @@ T = TypeVar("T")
 #: Default sliding window for throughput queries, seconds.
 DEFAULT_WINDOW_S = 600.0
 
+#: Bound on retained timestamps (ring buffer).
+MAX_SAMPLES = 100_000
+
 
 @dataclass
 class EvaIterator(Iterable[T]):
@@ -34,12 +37,10 @@ class EvaIterator(Iterable[T]):
         inner: The wrapped iterable.
         clock: Returns current time in seconds (defaults to wall clock;
             inject a logical clock in simulations/tests).
-        max_samples: Bound on retained timestamps (ring buffer).
     """
 
     inner: Iterable[T]
     clock: Callable[[], float] = _time.monotonic
-    max_samples: int = 100_000
     _timestamps: deque = field(default_factory=deque, repr=False)
     _total_iterations: int = 0
 
@@ -53,7 +54,7 @@ class EvaIterator(Iterable[T]):
         now = self.clock()
         for _ in range(count):
             self._timestamps.append(now)
-            if len(self._timestamps) > self.max_samples:
+            if len(self._timestamps) > MAX_SAMPLES:
                 self._timestamps.popleft()
         self._total_iterations += count
 

@@ -8,7 +8,6 @@ from repro.sim.batch import (
     parallel_map,
     register_trace_builder,
     run_batch,
-    run_grid,
     run_scenario,
     trace_builder_names,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "parallel_map",
     "register_trace_builder",
     "run_batch",
-    "run_grid",
     "run_scenario",
     "trace_builder_names",
     "Event",

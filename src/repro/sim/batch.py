@@ -39,7 +39,7 @@ import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.results import ResultStore
@@ -496,44 +496,6 @@ def run_batch(
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:
     """Run a single scenario in-process (convenience wrapper)."""
     return _execute_scenario(scenario)
-
-
-_P = TypeVar("_P")
-
-
-def run_grid(
-    points: Iterable[_P],
-    schedulers: Mapping[str, str],
-    make_scenario: Callable[[_P, str], Scenario],
-    workers: int | None = None,
-) -> dict[_P, dict[str, SimulationResult]]:
-    """Run a (sweep-point × scheduler) grid and key results structurally.
-
-    The sweep experiments (fig04–fig08, table06) all share this shape:
-    for every sweep ``point`` and every ``{display name: registry name}``
-    scheduler, build a scenario, run the whole grid as one batch, and
-    read results back per point.  This helper owns the pairing — results
-    are keyed by ``(point, display name)`` from the same loop that built
-    the scenarios, so reordering or filtering either axis can never
-    silently mispair a result with its cell.
-
-    ``make_scenario(point, registry_name)`` builds one cell's scenario;
-    when it leaves ``name`` unset, the cell is labelled
-    ``"{display}@{point}"``.
-    """
-    points = list(points)
-    cells: list[tuple[_P, str, Scenario]] = []
-    for point in points:
-        for display, registry_name in schedulers.items():
-            scenario = make_scenario(point, registry_name)
-            if scenario.name is None:
-                scenario = replace(scenario, name=f"{display}@{point}")
-            cells.append((point, display, scenario))
-    outcomes = run_batch([cell[2] for cell in cells], workers=workers)
-    grid: dict[_P, dict[str, SimulationResult]] = {point: {} for point in points}
-    for (point, display, _), outcome in zip(cells, outcomes):
-        grid[point][display] = outcome.result
-    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cloud.delays import DelayModel
 from repro.cloud.market import MarketConfig, MarketRuntime
-from repro.cloud.provider import SimulatedCloud
+from repro.cloud.provider import SPOT_DISCOUNT, SimulatedCloud
 from repro.cluster.instance import Instance
 from repro.cluster.state import ClusterSnapshot, InstanceState
 from repro.cluster.task import Job, Task
@@ -80,7 +80,7 @@ class SpotConfig:
     instances" extension).
 
     When enabled, every launch is a spot request: billed at
-    ``SimulatedCloud.spot_discount`` of the on-demand price, and
+    :data:`~repro.cloud.provider.SPOT_DISCOUNT` of the on-demand price, and
     preempted after an exponentially distributed lifetime with the given
     rate.  Preempted instances vanish; their tasks are checkpointed (the
     two-minute interruption notice suffices for the Table-7 checkpoint
@@ -1353,7 +1353,7 @@ class ClusterSimulator:
         for iid in rt.members_of(pool_index):
             inst = self._instances[iid]
             itype = inst.instance.instance_type
-            discount = self.cloud.spot_discount if inst.spot else 1.0
+            discount = SPOT_DISCOUNT if inst.spot else 1.0
             self.cloud.ledger.change_rate(
                 iid, self.now_s, itype.hourly_cost * discount * new
             )

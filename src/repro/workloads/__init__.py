@@ -17,7 +17,6 @@ from repro.workloads.gavel import (
 )
 from repro.workloads.synthetic import (
     DEFAULT_INTERARRIVAL_S,
-    large_physical_trace,
     microbench_task_pool,
     multitask_microbench_trace,
     small_physical_trace,
@@ -44,7 +43,6 @@ __all__ = [
     "gavel_quantile_hours",
     "sample_gavel_durations_hours",
     "DEFAULT_INTERARRIVAL_S",
-    "large_physical_trace",
     "microbench_task_pool",
     "multitask_microbench_trace",
     "small_physical_trace",

@@ -83,11 +83,6 @@ def small_physical_trace(seed: int = 0) -> Trace:
     return synthetic_trace(32, seed=seed, name="physical-32")
 
 
-def large_physical_trace(seed: int = 0) -> Trace:
-    """The 120-job trace of the large-scale physical experiment (Table 10)."""
-    return synthetic_trace(120, seed=seed, name="physical-120")
-
-
 def multitask_microbench_trace(
     num_jobs: int = 100,
     tasks_per_job: int = 4,

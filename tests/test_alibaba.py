@@ -124,12 +124,13 @@ class TestTraceComposition:
                 assert mix.get(gpus, 0.0) == pytest.approx(target, abs=0.02)
 
     def test_every_job_feasible(self, catalog):
-        from repro.cloud.catalog import cheapest_feasible_type
+        from repro.core.reservation_price import ReservationPriceCalculator
 
+        calc = ReservationPriceCalculator(catalog)
         trace = synthesize_alibaba_trace(500, seed=1)
         for job in trace:
             for task in job.tasks:
-                assert cheapest_feasible_type(task, catalog) is not None
+                calc.rp_type(task)  # raises InfeasibleTaskError if none fits
 
     def test_workload_labels_match_gpu_class(self):
         from repro.workloads.workloads import CPU_WORKLOADS, workload

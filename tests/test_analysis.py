@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.comparison import (
-    compare_schedulers,
-    standard_scheduler_factories,
-)
+from repro.analysis.comparison import compare_schedulers, standard_scheduler_names
 from repro.analysis.reporting import (
     ExperimentTable,
     percent,
@@ -52,9 +49,8 @@ class TestRendering:
 
 
 class TestComparison:
-    def test_standard_factories_cover_the_five_schedulers(self, catalog):
-        factories = standard_scheduler_factories(catalog)
-        assert sorted(factories) == [
+    def test_standard_names_cover_the_five_schedulers(self):
+        assert sorted(standard_scheduler_names()) == [
             "Eva",
             "No-Packing",
             "Owl",
@@ -62,11 +58,11 @@ class TestComparison:
             "Synergy",
         ]
 
-    def test_compare_and_tables(self, catalog):
+    def test_compare_and_tables(self):
         trace = synthetic_trace(8, seed=0)
-        factories = standard_scheduler_factories(catalog)
-        subset = {k: factories[k] for k in ("No-Packing", "Eva")}
-        comparison = compare_schedulers(trace, subset)
+        comparison = compare_schedulers(
+            trace, {"No-Packing": "no-packing", "Eva": "eva"}
+        )
         assert comparison.normalized_cost("No-Packing") == pytest.approx(1.0)
         e2e = comparison.end_to_end_table("x")
         assert len(e2e.rows) == 2

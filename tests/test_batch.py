@@ -27,7 +27,6 @@ from repro.sim.batch import (
     bench_workers,
     parallel_map,
     run_batch,
-    run_grid,
     run_scenario,
 )
 from repro.sim.simulator import SpotConfig
@@ -147,26 +146,6 @@ class TestOrdering:
             Scenario(scheduler="no-packing", trace=synthetic_trace(2, seed=0))
         )
         assert outcome.elapsed_s > 0
-
-    def test_run_grid_keys_results_structurally(self):
-        trace = synthetic_trace(3, seed=1)
-        schedulers = {"No-Packing": "no-packing", "Eva": "eva"}
-        grid = run_grid(
-            (0.9, 1.0),
-            schedulers,
-            lambda point, registry_name: Scenario(
-                scheduler=registry_name,
-                trace=trace,
-                interference=InterferenceModel(uniform_value=point),
-            ),
-            workers=2,
-        )
-        assert set(grid) == {0.9, 1.0}
-        for point, results in grid.items():
-            assert set(results) == set(schedulers)
-            assert results["No-Packing"].scheduler_name == "No-Packing"
-            assert results["Eva"].scheduler_name == "Eva"
-            assert results["Eva"].num_jobs == len(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.cloud.catalog import (
-    catalog_by_name,
-    cheapest_feasible_type,
-    ec2_catalog,
-    feasible_types,
-    paper_example_catalog,
-    sorted_by_cost_desc,
+from repro.core.reservation_price import (
+    InfeasibleTaskError,
+    ReservationPriceCalculator,
 )
 from repro.workloads.workloads import TABLE7_WORKLOADS
 
@@ -37,23 +33,20 @@ class TestEc2Catalog:
             assert all(c > 0 for c in costs)
             assert costs == sorted(costs)
 
-    def test_sorted_by_cost_desc(self, catalog):
-        ordered = sorted_by_cost_desc(catalog)
-        costs = [it.hourly_cost for it in ordered]
-        assert costs == sorted(costs, reverse=True)
-        assert ordered[0].name == "p3.16xlarge"
-
     def test_catalog_by_name(self, catalog):
-        index = catalog_by_name(catalog)
+        index = {it.name: it for it in catalog}
+        assert len(index) == len(catalog)
         assert index["p3.2xlarge"].capacity.gpus == 1
         assert index["r7i.48xlarge"].capacity.ram_gb == 1536
 
 
 class TestFeasibility:
     def test_every_workload_fits_somewhere(self, catalog):
+        calc = ReservationPriceCalculator(catalog)
         for spec in TABLE7_WORKLOADS:
             task = spec.make_job(1.0).tasks[0]
-            assert feasible_types(task, catalog), spec.name
+            itype = calc.rp_type(task)
+            assert task.demand_for(itype.family).fits_within(itype.capacity)
 
     def test_cheapest_feasible_types_match_expectations(self, catalog):
         expectations = {
@@ -65,17 +58,19 @@ class TestFeasibility:
             "OpenFOAM": "c7i.2xlarge",
             "GCN": "r7i.2xlarge",  # 40 GB RAM forces the memory family
         }
+        calc = ReservationPriceCalculator(catalog)
         for name, expected in expectations.items():
             spec = next(w for w in TABLE7_WORKLOADS if w.name == name)
             task = spec.make_job(1.0).tasks[0]
-            assert cheapest_feasible_type(task, catalog).name == expected
+            assert calc.rp_type(task).name == expected
 
-    def test_infeasible_task_returns_none(self, catalog):
+    def test_infeasible_task_raises(self, catalog):
         from repro.cluster.resources import ResourceVector
         from repro.cluster.task import make_job
 
         job = make_job("huge", {"*": ResourceVector(16, 1, 1)}, 1.0)
-        assert cheapest_feasible_type(job.tasks[0], catalog) is None
+        with pytest.raises(InfeasibleTaskError):
+            ReservationPriceCalculator(catalog).rp_type(job.tasks[0])
 
 
 class TestPaperExample:

@@ -1,5 +1,7 @@
 """Unit tests for the Table 1 delay model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ class TestMultipliers:
         assert model.acquisition_s() == 3 * ACQUISITION_MEAN_S
         assert model.setup_s() == 3 * SETUP_MEAN_S
         assert model.checkpoint_s(10.0) == 10.0
+
+    @pytest.mark.parametrize("field", ["migration_multiplier", "instance_multiplier"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_multiplier_rejected_at_construction(self, field, value):
+        """A NaN multiplier used to run to a NaN makespan, and a negative
+        one to a mid-run SimulationError or instances ready before they
+        were requested."""
+        with pytest.raises(ValueError, match=field):
+            DelayModel(**{field: value})
+
+    def test_zero_multipliers_remove_the_delays(self):
+        model = DelayModel(migration_multiplier=0.0, instance_multiplier=0.0)
+        assert model.mean_instance_ready_s() == 0.0
+        assert model.checkpoint_s(10.0) == model.launch_s() == 0.0
 
 
 class TestStochastic:

@@ -15,6 +15,7 @@ from repro.cluster.state import (
 )
 from repro.cluster.task import Job, make_job
 from repro.core.ensemble import (
+    PRIOR_RATE_PER_HOUR,
     EnsemblePolicy,
     PoissonEventEstimator,
     mean_time_to_full_reconfig_hours,
@@ -75,8 +76,8 @@ class TestEstimator:
         assert est.rate_per_hour == pytest.approx(10.0)
 
     def test_prior_rate_before_observations(self):
-        est = PoissonEventEstimator(prior_rate_per_hour=2.5)
-        assert est.rate_per_hour == 2.5
+        est = PoissonEventEstimator()
+        assert est.rate_per_hour == PRIOR_RATE_PER_HOUR == 1.0
 
     def test_trigger_probability_laplace(self):
         est = PoissonEventEstimator()

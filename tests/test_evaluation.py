@@ -41,14 +41,6 @@ class TestRPEvaluator:
             total += calc.rp(task)
         assert state.value == pytest.approx(16.2)
 
-    def test_cost_efficiency_check(self, calc, example_tasks, example_catalog):
-        ev = RPEvaluator(calc)
-        it1 = example_catalog[0]
-        assert ev.is_cost_efficient(
-            [example_tasks[0], example_tasks[1]], it1.hourly_cost
-        )
-        assert not ev.is_cost_efficient([example_tasks[1]], it1.hourly_cost)
-
 
 class TestTNRPSingleTask:
     def test_paper_example_section_4_3(self, calc, example_tasks):
@@ -74,10 +66,7 @@ class TestTNRPSingleTask:
         )
         ev = TNRPEvaluator(calc, table, jobs={}, multi_task_aware=False)
         value = ev.set_value([example_tasks[0], example_tasks[1]])
-        assert value == pytest.approx(10.8)
-        assert not ev.is_cost_efficient(
-            [example_tasks[0], example_tasks[1]], 12.0
-        )
+        assert value == pytest.approx(10.8)  # below it1's $12/hr
 
     def test_singleton_equals_rp(self, calc, example_tasks):
         ev = TNRPEvaluator(calc, CoLocationThroughputTable(), jobs={})

@@ -12,12 +12,16 @@ from repro.core import make_scheduler
 from repro.experiments.registry import (
     ExperimentContext,
     ExperimentSpec,
+    ScenarioGrid,
     all_specs,
     experiment_ids,
     get_experiment,
+    grid_cells,
     register,
     run_experiment,
 )
+from repro.interference.model import InterferenceModel
+from repro.sim.batch import Scenario, run_batch
 from repro.sim.results import ResultStore
 from repro.sim.simulator import run_simulation
 from repro.workloads.alibaba import (
@@ -28,7 +32,7 @@ from repro.workloads.alibaba import (
     remix_multi_task,
     synthesize_alibaba_trace,
 )
-from repro.workloads.synthetic import small_physical_trace
+from repro.workloads.synthetic import small_physical_trace, synthetic_trace
 
 ALL_IDS = {
     "deadline-slo",
@@ -165,6 +169,32 @@ class TestGridExecution:
             assert len(labels) == len(grid.cells), f"{spec_id}: duplicate cells"
             for cell in grid.cells:
                 assert cell.scenario.name is not None
+
+    def test_grid_cells_key_results_structurally(self):
+        trace = synthetic_trace(3, seed=1)
+        schedulers = {"No-Packing": "no-packing", "Eva": "eva"}
+        grid = ScenarioGrid(
+            cells=grid_cells(
+                (0.9, 1.0),
+                schedulers,
+                lambda point, registry_name: Scenario(
+                    scheduler=registry_name,
+                    trace=trace,
+                    interference=InterferenceModel(uniform_value=point),
+                ),
+            )
+        )
+        assert [s.name for s in grid.scenarios] == [
+            "No-Packing@0.9", "Eva@0.9", "No-Packing@1.0", "Eva@1.0"
+        ]
+        outcomes = run_batch(grid.scenarios, workers=2)
+        by_point = grid.results_by_point([o.result for o in outcomes])
+        assert set(by_point) == {0.9, 1.0}
+        for results in by_point.values():
+            assert set(results) == set(schedulers)
+            assert results["No-Packing"].scheduler_name == "No-Packing"
+            assert results["Eva"].scheduler_name == "Eva"
+            assert results["Eva"].num_jobs == len(trace)
 
     def test_cache_makes_second_run_simulation_free(self, tmp_path):
         store = ResultStore(tmp_path)

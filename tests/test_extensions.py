@@ -1,5 +1,7 @@
 """Tests for the spot-market and JCT-margin extensions."""
 
+import math
+
 import pytest
 
 from repro.baselines import NoPackingScheduler
@@ -19,14 +21,14 @@ IT = InstanceType("t", "f", ResourceVector(0, 4, 8), 1.0)
 
 class TestSpotProvider:
     def test_spot_rate_discounted(self):
-        cloud = SimulatedCloud(spot_discount=0.3)
+        cloud = SimulatedCloud()
         receipt = cloud.launch(IT, 0.0, spot=True)
         assert receipt.spot
         assert receipt.hourly_rate == pytest.approx(0.3)
         assert cloud.total_cost(3600.0) == pytest.approx(0.3)
 
     def test_on_demand_rate_unchanged(self):
-        cloud = SimulatedCloud(spot_discount=0.3)
+        cloud = SimulatedCloud()
         receipt = cloud.launch(IT, 0.0, spot=False)
         assert not receipt.spot
         assert receipt.hourly_rate == pytest.approx(1.0)
@@ -114,6 +116,18 @@ class TestEfficiencyMargin:
             )
         with pytest.raises(ValueError):
             EvaConfig(efficiency_margin=-1.0)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, example_catalog, example_tasks, margin):
+        """NaN used to pass the ``< 0`` checks and fail later inside
+        Algorithm 1 as a packing failure."""
+        calc = ReservationPriceCalculator(example_catalog)
+        with pytest.raises(ValueError, match="cost_margin"):
+            full_reconfiguration(
+                example_tasks, example_catalog, RPEvaluator(calc), cost_margin=margin
+            )
+        with pytest.raises(ValueError, match="efficiency_margin"):
+            EvaConfig(efficiency_margin=margin)
 
     def test_margin_trades_cost_for_throughput(self, catalog):
         """End to end: margin > 0 lifts throughput, costs more."""

@@ -17,7 +17,6 @@ from repro.core.full_reconfig import (
     configuration_cost,
     full_reconfiguration,
     match_existing_instances,
-    packing_summary,
 )
 from repro.core.partial_reconfig import partial_reconfiguration
 from repro.core.reservation_price import ReservationPriceCalculator
@@ -219,16 +218,6 @@ class TestMatchExisting:
         assert all(
             p.instance.instance_id != gpu_live.instance_id for p in relabelled
         )
-
-    def test_summary(self, example_catalog, example_tasks):
-        calc = ReservationPriceCalculator(example_catalog)
-        packed = full_reconfiguration(
-            example_tasks, example_catalog, RPEvaluator(calc)
-        )
-        summary = packing_summary(packed)
-        assert summary["instances"] == 2
-        assert summary["tasks"] == 4
-        assert summary["hourly_cost"] == pytest.approx(12.8)
 
 
 class TestTaskPool:

@@ -15,7 +15,6 @@ from repro.core.heterogeneous import (
     FamilySpeedProfile,
     HeterogeneousEvaluator,
     HeterogeneousRPCalculator,
-    reduces_to_homogeneous,
 )
 from repro.core.reservation_price import (
     InfeasibleTaskError,
@@ -48,7 +47,7 @@ class TestHeterogeneousRP:
         het = HeterogeneousRPCalculator(catalog)
         hom = ReservationPriceCalculator(catalog)
         for task in microbench_task_pool(40, seed=1):
-            assert reduces_to_homogeneous(het, hom, task)
+            assert het.rp(task) == pytest.approx(hom.rp(task), abs=1e-9)
 
     def test_faster_family_lowers_rp(self, catalog):
         """A 2x-faster family halves the dollars-per-iteration price."""
@@ -72,8 +71,7 @@ class TestHeterogeneousRP:
         calc = HeterogeneousRPCalculator(
             catalog,
             FamilySpeedProfile(
-                speeds={"W": {"c7i": 0.0, "r7i": 0.0, "p3": 0.0}},
-                default_speed=0.0,
+                speeds={"W": {"c7i": 0.0, "r7i": 0.0, "p3": 0.0}}
             ),
         )
         with pytest.raises(InfeasibleTaskError):

@@ -13,7 +13,6 @@ from repro.cluster.resources import ResourceVector
 from repro.cluster.task import (
     DEFAULT_FAMILY,
     Job,
-    MigrationDelays,
     Task,
     make_job,
 )
@@ -125,7 +124,3 @@ class TestJob:
         kwargs = {"duration_hours": 1.0, "arrival_time_s": 0.0, field: value}
         with pytest.raises(ValueError, match="job bad-job "):
             make_job("w", {"*": ResourceVector(1, 1, 1)}, job_id="bad-job", **kwargs)
-
-    def test_migration_delays_total(self):
-        delays = MigrationDelays(checkpoint_s=10, launch_s=20)
-        assert delays.total_s() == 30

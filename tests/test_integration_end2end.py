@@ -4,10 +4,7 @@ import re
 
 import pytest
 
-from repro.analysis.comparison import (
-    compare_schedulers,
-    standard_scheduler_factories,
-)
+from repro.analysis.comparison import compare_schedulers
 from repro.cluster.resources import ResourceVector
 from repro.cluster.task import make_job
 from repro.core.reservation_price import InfeasibleTaskError
@@ -19,18 +16,9 @@ from repro.workloads.trace import Trace
 
 
 @pytest.fixture(scope="module")
-def alibaba_comparison(catalog_module):
+def alibaba_comparison():
     trace = synthesize_alibaba_trace(150, seed=42)
-    return compare_schedulers(
-        trace, standard_scheduler_factories(catalog_module), validate=True
-    )
-
-
-@pytest.fixture(scope="module")
-def catalog_module():
-    from repro.cloud.catalog import ec2_catalog
-
-    return ec2_catalog()
+    return compare_schedulers(trace, validate=True)
 
 
 class TestAllSchedulersComplete:
@@ -79,15 +67,10 @@ class TestAllSchedulersComplete:
 
 
 class TestSyntheticTraceShape:
-    def test_physical_trace_ordering(self, catalog_module):
+    def test_physical_trace_ordering(self):
         trace = synthetic_trace(40, seed=21)
         comparison = compare_schedulers(
-            trace,
-            {
-                k: v
-                for k, v in standard_scheduler_factories(catalog_module).items()
-                if k in ("No-Packing", "Eva")
-            },
+            trace, {"No-Packing": "no-packing", "Eva": "eva"}
         )
         assert comparison.normalized_cost("Eva") <= 1.02
 

@@ -1,10 +1,8 @@
 """Unit tests for the simulated cloud provider."""
 
-import numpy as np
 import pytest
 
-from repro.cloud.delays import DelayModel
-from repro.cloud.provider import CapacityError, SimulatedCloud
+from repro.cloud.provider import SimulatedCloud
 from repro.cluster.instance import InstanceType, fresh_instance
 from repro.cluster.resources import ResourceVector
 
@@ -18,7 +16,6 @@ class TestLaunch:
         assert receipt.request_time_s == 100.0
         # Deterministic delays: acquisition 19s + setup 190s.
         assert receipt.ready_time_s == pytest.approx(100.0 + 209.0)
-        assert receipt.attempts == 1
         assert cloud.active_instances() == [receipt.instance.instance_id]
 
     def test_premade_instance_identity_kept(self):
@@ -38,48 +35,3 @@ class TestLaunch:
         receipt = cloud.launch(IT, 0.0)
         cloud.terminate(receipt.instance.instance_id, 3600.0)
         assert cloud.total_cost(7200.0) == pytest.approx(1.0)
-
-
-class TestStockouts:
-    def test_stockout_adds_attempts(self):
-        cloud = SimulatedCloud(
-            stockout_probability=0.5, rng=np.random.default_rng(0)
-        )
-        receipts = []
-        for _ in range(20):
-            try:
-                receipts.append(cloud.launch(IT, 0.0))
-            except CapacityError:
-                pass  # all four zones stocked out: possible at p=0.5
-        assert any(r.attempts > 1 for r in receipts)
-
-    def test_all_zones_stocked_out(self):
-        cloud = SimulatedCloud(
-            stockout_probability=0.999999, rng=np.random.default_rng(1)
-        )
-        with pytest.raises(CapacityError):
-            for _ in range(50):
-                cloud.launch(IT, 0.0)
-
-    def test_retries_extend_ready_time(self):
-        rng = np.random.default_rng(3)
-        slow = SimulatedCloud(stockout_probability=0.9, rng=rng)
-        fast = SimulatedCloud()
-        slow_receipts = []
-        for _ in range(20):
-            try:
-                slow_receipts.append(slow.launch(IT, 0.0))
-            except CapacityError:
-                pass
-        multi = [r for r in slow_receipts if r.attempts > 1]
-        baseline = fast.launch(IT, 0.0)
-        assert multi, "expected at least one multi-attempt launch"
-        assert all(r.ready_time_s > baseline.ready_time_s for r in multi)
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedCloud(stockout_probability=1.0)
-
-    def test_zoneless_provider_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedCloud(zones=())

@@ -65,12 +65,6 @@ class TestMechanics:
         # it to the memory family.
         assert calc.rp_type(gcn).name == "r7i.2xlarge"
 
-    def test_is_cost_efficient(self, example_catalog, example_tasks):
-        calc = ReservationPriceCalculator(example_catalog)
-        it1 = example_catalog[0]
-        assert calc.is_cost_efficient([example_tasks[0]], it1)  # 12 >= 12
-        assert not calc.is_cost_efficient([example_tasks[1]], it1)  # 3 < 12
-
 
 class TestProperties:
     demand = st.builds(

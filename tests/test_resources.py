@@ -59,12 +59,6 @@ class TestComparison:
         assert ResourceVector(1, 2, 3).fits_within(ResourceVector(2, 3, 4))
         assert not ResourceVector(3, 2, 3).fits_within(ResourceVector(2, 3, 4))
 
-    def test_dominates_is_reverse_of_fits(self):
-        small = ResourceVector(1, 1, 1)
-        big = ResourceVector(2, 2, 2)
-        assert big.dominates(small)
-        assert not small.dominates(big)
-
     def test_get_by_name(self):
         v = ResourceVector(1, 2, 3)
         assert [v.get(r) for r in RESOURCE_NAMES] == [1, 2, 3]

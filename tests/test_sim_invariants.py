@@ -28,7 +28,7 @@ import pickle
 from repro.cloud.catalog import ec2_catalog
 from repro.cloud.delays import DelayModel
 from repro.cloud.market import CreditModel, MarketConfig, MarketPool
-from repro.cloud.provider import SimulatedCloud
+from repro.cloud.provider import SPOT_DISCOUNT
 from repro.cluster.resources import RESOURCE_NAMES
 from repro.cluster.state import tasks_fit_on_type
 from repro.core import EvaScheduler, make_scheduler, scheduler_names
@@ -225,7 +225,7 @@ def test_spot_preemption_preserves_invariants(seed, catalog):
         spot=SpotConfig(enabled=True, preemption_rate_per_hour=0.5, seed=seed),
     )
     check_invariants(
-        trace, result, price_floor_factor=SimulatedCloud().spot_discount
+        trace, result, price_floor_factor=SPOT_DISCOUNT
     )
     # Preempted tasks must be re-placed, never dropped.
     assert result.num_jobs == len(trace)
@@ -426,7 +426,7 @@ class TestActionConservation:
             ),
         )
         check_invariants(
-            trace, result, price_floor_factor=SimulatedCloud().spot_discount
+            trace, result, price_floor_factor=SPOT_DISCOUNT
         )
         for snapshot, decision in recorder.records:
             self._check_round(snapshot, decision)
@@ -651,7 +651,7 @@ class TestFuzzedScenarioInvariants:
         trace = scenario.trace.build(default_seed=scenario.seed)
         floor = 1.0
         if scenario.spot is not None and scenario.spot.enabled:
-            floor = SimulatedCloud().spot_discount
+            floor = SPOT_DISCOUNT
         if scenario.market is not None and scenario.market.active:
             # Pool prices are clamped at min_multiplier, so the billing
             # floor scales by the deepest discount any pool can reach.

@@ -9,7 +9,6 @@ from repro.cluster.state import (
     InstanceState,
     TargetConfiguration,
     diff_configuration,
-    remaining_capacity,
     tasks_fit_on_type,
 )
 from repro.cluster.task import make_job
@@ -59,11 +58,6 @@ class TestFit:
         assert tasks_fit_on_type(tasks, IT)
         assert not tasks_fit_on_type(_mk_tasks(5), IT)
 
-    def test_remaining_capacity(self):
-        tasks = _mk_tasks(2)
-        rem = remaining_capacity(IT, tasks)
-        assert rem == ResourceVector(2, 8, 48)
-
 
 class TestSnapshot:
     def test_unassigned_tasks(self):
@@ -79,10 +73,10 @@ class TestSnapshot:
         snap = _snapshot(
             tasks, {inst: [tasks[0].task_id, tasks[1].task_id]}
         )
-        state = snap.instance_of(tasks[0].task_id)
+        (state,) = snap.instances
         assert state.instance_id == inst.instance_id
         assert state.task_ids == {tasks[0].task_id, tasks[1].task_id}
-        assert snap.instance_of(tasks[2].task_id) is None
+        assert tasks[2].task_id not in snap.assigned_task_ids()
 
 
 class TestTargetConfiguration:

@@ -46,7 +46,7 @@ class TestSingleTaskUpdates:
     def test_standalone_observation_ignored(self):
         table = CoLocationThroughputTable()
         table.observe_single_task_job(obs("A"), 0.7)
-        assert table.num_exact_entries() == 0
+        assert table.version == 0
 
     def test_observation_clamped(self):
         table = CoLocationThroughputTable()
@@ -84,7 +84,7 @@ class TestAttributionRules:
     def test_no_colocated_tasks_is_noop(self):
         table = CoLocationThroughputTable()
         assert table.observe_multi_task_job([obs("A"), obs("B")], 0.5) is None
-        assert table.num_exact_entries() == 0
+        assert table.version == 0
 
     def test_all_recorded_consistent_refreshes_lowest(self):
         table = CoLocationThroughputTable()
