@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster.resources import ResourceVector
 from repro.cluster.task import make_job
 from repro.core.evaluation import RPEvaluator, TNRPEvaluator
+from repro.core.full_reconfig import full_reconfiguration
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.throughput_table import (
     CoLocationThroughputTable,
@@ -40,6 +41,18 @@ class TestRPEvaluator:
             state.add(task)
             total += calc.rp(task)
         assert state.value == pytest.approx(16.2)
+
+    def test_cost_efficiency_check(self, calc, example_tasks, example_catalog):
+        # Algorithm 1 keeps a set on a type only if its value covers the
+        # hourly cost: tau1 + tau2 (15) pay for it1 (12), tau2 (3) does not.
+        ev = RPEvaluator(calc)
+        it1 = example_catalog[0]
+        packed = full_reconfiguration(example_tasks[:2], [it1], ev)
+        assert [sorted(t.job_id for t in p.tasks) for p in packed] == [
+            ["tau1", "tau2"]
+        ]
+        with pytest.raises(RuntimeError, match="could not be packed"):
+            full_reconfiguration([example_tasks[1]], [it1], ev)
 
 
 class TestTNRPSingleTask:

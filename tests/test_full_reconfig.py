@@ -219,6 +219,26 @@ class TestMatchExisting:
             p.instance.instance_id != gpu_live.instance_id for p in relabelled
         )
 
+    def test_summary(self, example_catalog, example_tasks):
+        # Relabelling onto a live instance keeps the configuration: two
+        # instances, all four tasks, 12.8 $/h.
+        calc = ReservationPriceCalculator(example_catalog)
+        packed = full_reconfiguration(
+            example_tasks, example_catalog, RPEvaluator(calc)
+        )
+        from repro.cluster.instance import fresh_instance
+
+        live = fresh_instance(example_catalog[0])
+        relabelled = match_existing_instances(
+            packed, [(live, frozenset({example_tasks[0].task_id}))]
+        )
+        assert len(relabelled) == 2
+        assert sorted(tid for p in relabelled for tid in p.task_ids()) == sorted(
+            t.task_id for t in example_tasks
+        )
+        assert configuration_cost(relabelled) == pytest.approx(12.8)
+        assert live.instance_id in {p.instance.instance_id for p in relabelled}
+
 
 class TestTaskPool:
     """Ordering contract of the packer's grouped task pool."""

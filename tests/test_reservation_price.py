@@ -65,6 +65,16 @@ class TestMechanics:
         # it to the memory family.
         assert calc.rp_type(gcn).name == "r7i.2xlarge"
 
+    def test_is_cost_efficient(self, example_catalog, example_tasks):
+        # Algorithm 1 always terminates because every task pays for its RP
+        # type standalone (equality counts); tau2 alone does not pay for it1.
+        calc = ReservationPriceCalculator(example_catalog)
+        for task in example_tasks:
+            assert calc.rp(task) >= calc.rp_type(task).hourly_cost
+        it1 = example_catalog[0]
+        assert calc.rp(example_tasks[0]) >= it1.hourly_cost  # 12 >= 12
+        assert calc.rp(example_tasks[1]) < it1.hourly_cost  # 3 < 12
+
 
 class TestProperties:
     demand = st.builds(

@@ -58,6 +58,15 @@ class TestFit:
         assert tasks_fit_on_type(tasks, IT)
         assert not tasks_fit_on_type(_mk_tasks(5), IT)
 
+    def test_remaining_capacity(self):
+        # Two tasks leave (2, 8, 48) of the type: a task of exactly that
+        # demand still fits beside them, one more CPU does not.
+        tasks = _mk_tasks(2)
+        rest = make_job("r", {"*": ResourceVector(2, 8, 48)}, 1.0, job_id="rest")
+        over = make_job("o", {"*": ResourceVector(2, 9, 48)}, 1.0, job_id="over")
+        assert tasks_fit_on_type(tasks + list(rest.tasks), IT)
+        assert not tasks_fit_on_type(tasks + list(over.tasks), IT)
+
 
 class TestSnapshot:
     def test_unassigned_tasks(self):
