@@ -68,6 +68,14 @@ class AssignmentEvaluator(ABC):
     def set_value(self, tasks: Sequence[Task]) -> float:
         """Value of assigning ``tasks`` together to one instance."""
 
+    def value_cap(self, task: Task) -> float:
+        """The most ``task`` can add to any set's value: its value at
+        throughput 1.  Throughputs lie in [0, 1], and TNRP's urgency only
+        scales the degradation charge, so under RP and TNRP this is the
+        reservation price.  It may be negative (a multi-task job on a
+        slow family under the heterogeneous evaluator)."""
+        return self.task_rp(task)
+
     @abstractmethod
     def make_state(self, tasks: Sequence[Task] = ()) -> PackState:
         """Incremental state seeded with ``tasks``."""

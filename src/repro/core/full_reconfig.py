@@ -82,8 +82,6 @@ class _TaskPool:
         self._buckets = buckets
         self._ordered_keys = sorted(buckets)
         self._size = size
-        #: Per-(group, family) demand triples behind ``fingerprint_for``.
-        self._demand_by_key: dict[tuple, tuple[float, float, float]] = {}
 
     def _key(self, task: Task) -> tuple:
         key = self._key_by_id.get(task.task_id)
@@ -146,38 +144,48 @@ class _TaskPool:
             for key in self._ordered_keys
         )
 
-    def fingerprint_for(self, itype: InstanceType) -> tuple:
-        """Fingerprint restricted to groups feasible on an empty ``itype``.
+    def value_ceiling(
+        self, itype: InstanceType, evaluator: AssignmentEvaluator
+    ) -> float:
+        """Upper bound on the value of any instance of ``itype`` packed
+        from this pool, or ``math.inf`` where no bound is safe to use.
 
-        A group whose demand exceeds the type's full capacity can never
-        be chosen by the greedy scan (remaining capacity only shrinks),
-        so it cannot influence the pack outcome or the pop sequence —
-        two pools that agree on their feasible groups pack identically
-        on this type.  Feasibility mirrors :class:`_ArgmaxScan`'s test
-        (same ``_EPS`` slack) at full capacity.  All tasks in a group
-        share a demand signature, so the representative's demand decides
+        Only tasks that fit the empty type can join, and each adds at
+        most its :meth:`~AssignmentEvaluator.value_cap`, clamped at 0 so
+        that a subset never sums above the whole.  Algorithm 1 skips the
+        attempts this rules out, which gives the same packing only if a
+        rejected attempt leaves the pool as it found it.  ``push_back``
+        re-appends the popped tasks, so an attempt that picked one group
+        twice swaps that group's top tasks: on a type where some group of
+        two or more tasks fits twice (``_ArgmaxScan``'s clamped
+        arithmetic and ``_EPS``), the ceiling is ``inf``.  All tasks in a
+        group share a demand and a value, so the representative decides
         for the whole bucket.
         """
         cap = itype.capacity
         family = itype.family
-        max_g = cap.gpus + _EPS
-        max_c = cap.cpus + _EPS
-        max_r = cap.ram_gb + _EPS
-        demands = self._demand_by_key
+        gpus, cpus, ram = cap.gpus, cap.cpus, cap.ram_gb
         buckets = self._buckets
-        parts = []
+        ceiling = 0.0
         for key in self._ordered_keys:
             bucket = buckets[key]
-            dkey = (key, family)
-            d = demands.get(dkey)
-            if d is None:
-                vec = bucket[-1].demand_for(family)
-                d = (vec.gpus, vec.cpus, vec.ram_gb)
-                demands[dkey] = d
-            if d[0] > max_g or d[1] > max_c or d[2] > max_r:
+            task = bucket[-1]
+            demand = task.demand_for(family)
+            g, c, r = demand.gpus, demand.cpus, demand.ram_gb
+            if g > gpus + _EPS or c > cpus + _EPS or r > ram + _EPS:
                 continue
-            parts.append((key, tuple(t.task_id for t in bucket)))
-        return tuple(parts)
+            count = len(bucket)
+            if (
+                count > 1
+                and g <= max(0.0, gpus - g) + _EPS
+                and c <= max(0.0, cpus - c) + _EPS
+                and r <= max(0.0, ram - r) + _EPS
+            ):
+                return math.inf
+            value = evaluator.value_cap(task)
+            if value > 0.0:
+                ceiling += count * value
+        return ceiling
 
     def drain(self) -> list[Task]:
         """Remove and return every task, in pop order (ascending group
@@ -282,8 +290,6 @@ def _pack_one_instance(
     itype: InstanceType,
     pool: _TaskPool,
     evaluator: AssignmentEvaluator,
-    memo: "PackMemo | None" = None,
-    token: tuple | None = None,
     resident: Sequence[Task] = (),
 ) -> tuple[list[Task], float]:
     """Greedy inner loop of Algorithm 1 (lines 6–13) for one instance.
@@ -292,28 +298,8 @@ def _pack_one_instance(
     set.  ``resident`` tasks (not in the pool) already occupy the
     instance: they seed the value and use capacity, as when Partial
     Reconfiguration offers a surviving instance's spare room (§4.5).
-
-    With a ``memo`` and a valid evaluator ``token``, the outcome is
-    memoized per ``(token, type, pool fingerprint)``: the greedy scan is
-    fully determined by the evaluator state (token), the type's capacity
-    and family (its name, within one catalog — and the token embeds the
-    catalog), and the pool's group/stack order (fingerprint).  A hit
-    replays the recorded pop sequence against the live pool, so pool
-    mutations — including the bucket rotation a later ``push_back``
-    causes after a rejected pack — are byte-identical to a real scan.
     """
-    pack_key: tuple | None = None
-    if memo is not None and token is not None:
-        # The key covers the pool, not the residents.
-        assert not resident, "the per-attempt memo needs an empty instance"
-        pack_key = (token, itype.name, pool.fingerprint_for(itype))
-        hit = memo.get_pack(pack_key)
-        if hit is not None:
-            pop_keys, value = hit
-            buckets = pool._buckets
-            return [pool.pop(buckets[key][-1]) for key in pop_keys], value
     chosen: list[Task] = []
-    pop_keys: list[tuple] = []
     state = evaluator.make_state(resident)
     scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
     for task in resident:
@@ -324,14 +310,10 @@ def _pack_one_instance(
             break  # nothing fits (line 7 exit)
         if best_value < state.value - _EPS:
             break  # lines 9–11: adding would reduce the set's value
-        if pack_key is not None:
-            pop_keys.append(pool._key(best_task))
         pool.pop(best_task)
         state.add(best_task)
         chosen.append(best_task)
         scan.charge(best_task)
-    if pack_key is not None:
-        memo.put_pack(pack_key, (tuple(pop_keys), state.value))
     return chosen, state.value
 
 
@@ -350,18 +332,12 @@ class PackMemo:
     rounds, so a small cap suffices).
     """
 
-    __slots__ = ("_entries", "_packs")
+    __slots__ = ("_entries",)
 
     MAX_ENTRIES = 64
-    #: Pack-attempt entries are a (pop-key sequence, value) pair, a few
-    #: machine words each, so their cap is generous.
-    MAX_PACK_ENTRIES = 8192
 
     def __init__(self) -> None:
         self._entries: dict[tuple, tuple] = {}
-        #: Inner-loop memo: one entry per (token, type, pool fingerprint)
-        #: pack attempt — see :func:`_pack_one_instance`.
-        self._packs: dict[tuple, tuple] = {}
 
     def get(self, key: tuple) -> tuple | None:
         return self._entries.get(key)
@@ -371,13 +347,11 @@ class PackMemo:
             self._entries.clear()
         self._entries[key] = value
 
-    def get_pack(self, key: tuple) -> tuple | None:
-        return self._packs.get(key)
-
-    def put_pack(self, key: tuple, entry: tuple) -> None:
-        if len(self._packs) >= self.MAX_PACK_ENTRIES:
-            self._packs.clear()
-        self._packs[key] = entry
+    def get_pack(self, key: tuple) -> None:
+        """Always ``None``; nothing calls it.  It stays only because
+        ``benchmarks/eva_bench/tracer.py`` patches it, so traced runs
+        read ``full_reconfig.pack_attempts`` as 0."""
+        return None
 
 
 def full_reconfiguration(
@@ -413,7 +387,6 @@ def full_reconfiguration(
         raise ValueError(f"cost_margin must be finite and >= 0, got {cost_margin!r}")
     pool = _TaskPool(tasks, evaluator, group_identical)
     memo_key: tuple | None = None
-    token: tuple | None = None
     if memo is not None:
         token = evaluator.cache_token()
         if token is not None:
@@ -439,39 +412,38 @@ def full_reconfiguration(
     packed: list[PackedInstance] = []
     for itype in types_desc:
         bound = evaluator.for_type(itype)
-        while not pool.is_empty():
-            chosen, value = _pack_one_instance(
-                itype, pool, bound, memo=memo, token=token
-            )
-            threshold = itype.hourly_cost * (
-                1.0 + (cost_margin if len(chosen) > 1 else 0.0)
-            )
+        cost = itype.hourly_cost
+        # Both accept paths need a value of at least ``cost - _EPS``; an
+        # attempt the ceiling rules out would be rejected (line 17), and
+        # skipping it leaves the pool as the rejection would.
+        ceiling = pool.value_ceiling(itype, bound)
+        while not pool.is_empty() and ceiling >= cost - 2 * _EPS:
+            chosen, value = _pack_one_instance(itype, pool, bound)
+            threshold = cost * (1.0 + (cost_margin if len(chosen) > 1 else 0.0))
             if chosen and value >= threshold - _EPS:
-                packed.append(
-                    PackedInstance(
-                        instance=fresh_instance(itype), tasks=tuple(chosen)
-                    )
-                )
+                placed = chosen
             elif (
                 len(chosen) > 1
                 and cost_margin > 0
-                and value >= itype.hourly_cost - _EPS
-                and bound.set_value([chosen[0]]) >= itype.hourly_cost - _EPS
+                and value >= cost - _EPS
+                and bound.set_value([chosen[0]]) >= cost - _EPS
             ):
                 # The margin (not cost-efficiency) blocked this
                 # co-location; place the anchor standalone so tasks whose
                 # only feasible type is this one are never stranded.
-                packed.append(
-                    PackedInstance(
-                        instance=fresh_instance(itype), tasks=(chosen[0],)
-                    )
-                )
+                placed = chosen[:1]
                 pool.push_back(chosen[1:])
             else:
                 # Line 17: not cost-efficient on this type; put the tasks
                 # back and move to the next cheaper type.
                 pool.push_back(chosen)
                 break
+            packed.append(
+                PackedInstance(instance=fresh_instance(itype), tasks=tuple(placed))
+            )
+            if ceiling < math.inf:
+                for task in placed:
+                    ceiling -= max(0.0, bound.value_cap(task))
         if pool.is_empty():
             break
     if not pool.is_empty():

@@ -163,6 +163,11 @@ class HeterogeneousEvaluator(AssignmentEvaluator):
                 return rp - (1.0 - rate) * job_rp
         return rate * rp
 
+    def value_cap(self, task: Task) -> float:
+        """The task's value at throughput 1 on this family, which a speed
+        above 1 lifts over ``RP_het``."""
+        return self.tnrp_from_tput(task, 1.0)
+
     def set_value(self, tasks: Sequence[Task]) -> float:
         if not tasks:
             return 0.0

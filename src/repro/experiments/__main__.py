@@ -37,7 +37,9 @@ Options (run):
 * ``--fabric-timeout S`` — give up on an unresponsive fleet after S
   seconds (default: wait forever).
 * ``--param k=v`` — experiment-specific size override (e.g.
-  ``--param num_jobs=60``), repeatable.
+  ``--param num_jobs=60``), repeatable.  A name no selected experiment
+  declares, or a value of the wrong type, exits 2 before anything runs
+  and lists the experiment's parameters.
 
 ``EVA_BENCH_SCALE`` scales default experiment sizes
 (see :mod:`repro.experiments.common`).
@@ -55,6 +57,7 @@ from repro.experiments.registry import (
     ExperimentContext,
     ExperimentRun,
     all_specs,
+    check_params,
     experiment_ids,
     get_experiment,
     run_experiment,
@@ -290,6 +293,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    params = dict(args.param)
+    try:
+        check_params([get_experiment(name) for name in names], params)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     store = None
     dispatcher = None
@@ -309,7 +318,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.seeds is not None
         else None
     )
-    params = dict(args.param)
 
     if args.dry_run:
         return _cmd_dry_run(names, args, store, seeds, params)

@@ -211,6 +211,7 @@ SPEC = register(
     ExperimentSpec(
         id="deadline-slo",
         title="Extension: deadline SLOs — deadline-aware Eva vs Eva vs No-Packing",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

@@ -107,6 +107,7 @@ SPEC = register(
     ExperimentSpec(
         id="fig04",
         title="Sweep: uniform co-location interference level",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

@@ -115,6 +115,7 @@ SPEC = register(
     ExperimentSpec(
         id="fig05",
         title="Sweep: job-migration delay multiplier",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

@@ -98,6 +98,7 @@ SPEC = register(
     ExperimentSpec(
         id="fig06",
         title="Sweep: multi-GPU job proportion",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

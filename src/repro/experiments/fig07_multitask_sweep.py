@@ -92,6 +92,7 @@ SPEC = register(
     ExperimentSpec(
         id="fig07",
         title="Sweep: multi-task job proportion",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

@@ -86,6 +86,7 @@ SPEC = register(
     ExperimentSpec(
         id="fig08",
         title="Sweep: job arrival rate",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

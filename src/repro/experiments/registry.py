@@ -54,6 +54,7 @@ __all__ = [
     "Presentation",
     "ScenarioGrid",
     "all_specs",
+    "check_params",
     "comparison_grid",
     "experiment_ids",
     "get_experiment",
@@ -255,6 +256,9 @@ class ExperimentSpec:
             (``(spec, grid, trials) -> ExperimentTable``) for grid specs
             whose headline metrics go beyond the standard cost/JCT/tput
             columns (e.g. ``deadline-slo``'s attainment columns).
+        params: The names ``build``/``direct`` read with ``ctx.param``,
+            each with its type; :func:`check_params` rejects any other
+            name or type before anything runs.
     """
 
     id: str
@@ -269,6 +273,7 @@ class ExperimentSpec:
     trial_table: (
         Callable[["ExperimentSpec", ScenarioGrid, TrialSet], ExperimentTable] | None
     ) = None
+    params: Mapping[str, type] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         has_grid = self.build is not None and self.aggregate is not None
@@ -354,6 +359,37 @@ def experiment_ids() -> tuple[str, ...]:
 
 def all_specs() -> tuple[ExperimentSpec, ...]:
     return tuple(_REGISTRY[i] for i in experiment_ids())
+
+
+def _describe_params(spec: ExperimentSpec) -> str:
+    return ", ".join(
+        f"{name} ({kind.__name__})" for name, kind in sorted(spec.params.items())
+    ) or "none"
+
+
+def check_params(specs: Sequence[ExperimentSpec], params: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` unless some spec in ``specs`` declares every
+    name in ``params`` and every spec that declares it accepts its value.
+
+    An ``int`` parameter takes an int, a ``float`` one an int or a float
+    (``bool`` is neither); ``None`` always passes, as it selects the
+    default.  The message names the experiment and lists its parameters.
+    """
+    for name, value in params.items():
+        takers = [spec for spec in specs if name in spec.params]
+        if not takers:
+            listing = "; ".join(f"{s.id} takes {_describe_params(s)}" for s in specs)
+            raise ValueError(f"unknown --param {name!r}: {listing}")
+        for spec in takers:
+            kind = spec.params[name]
+            accepted = (int, float) if kind is float else (kind,)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, accepted)
+            ):
+                raise ValueError(
+                    f"{spec.id}: --param {name} expects {kind.__name__}, "
+                    f"got {value!r}; {spec.id} takes {_describe_params(spec)}"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,7 @@ SPEC = register(
     ExperimentSpec(
         id="reliability",
         title="Extension: reliability — failure-aware Eva vs Eva vs No-Packing",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

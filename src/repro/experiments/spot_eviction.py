@@ -128,6 +128,7 @@ SPEC = register(
     ExperimentSpec(
         id="spot-eviction",
         title="Extension: spot eviction notices vs eviction-aware Eva",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

@@ -253,6 +253,7 @@ SPEC = register(
     ExperimentSpec(
         id="spot-market",
         title="Extension: spot-market economics — market-aware Eva vs Eva vs No-Packing",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

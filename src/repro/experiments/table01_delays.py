@@ -76,6 +76,7 @@ SPEC = register(
     ExperimentSpec(
         id="table01",
         title="Reconfiguration delays: sampled vs published Table 1",
+        params={"samples": int},
         direct=_run,
     )
 )

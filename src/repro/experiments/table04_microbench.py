@@ -159,6 +159,7 @@ SPEC = register(
     ExperimentSpec(
         id="table04",
         title="Micro-benchmark: provisioning cost vs Full Reconfig vs ILP",
+        params={"trials": int, "num_tasks": int, "ilp_time_limit_s": float},
         direct=_run,
         present=lambda result: Presentation.of_tables(result.table),
     )

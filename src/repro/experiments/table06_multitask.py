@@ -105,6 +105,7 @@ SPEC = register(
     ExperimentSpec(
         id="table06",
         title="Micro-benchmark: multi-task jobs (Eva-Single vs Eva-Multi)",
+        params={"trials": int, "jobs_per_trial": int},
         build=_build,
         aggregate=_aggregate,
         # The grid's trial axis IS a seed sweep (seed + trial per cell);

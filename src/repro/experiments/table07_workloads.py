@@ -121,6 +121,7 @@ SPEC_TABLE8 = register(
     ExperimentSpec(
         id="table08",
         title="Data table: generated GPU-demand composition vs published",
+        params={"num_jobs": int},
         direct=lambda ctx: run_table8(
             num_jobs=ctx.param("num_jobs"), seed=ctx.seed
         ),
@@ -131,6 +132,7 @@ SPEC_TABLE9 = register(
     ExperimentSpec(
         id="table09",
         title="Data table: generated duration statistics vs published",
+        params={"num_jobs": int},
         direct=lambda ctx: run_table9(
             num_jobs=ctx.param("num_jobs"), seed=ctx.seed
         ),

@@ -74,6 +74,7 @@ SPEC = register(
     ExperimentSpec(
         id="table10",
         title="End-to-end, 120-job physical trace + Figure 3 uptime CDF",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
         present=_present,

@@ -55,6 +55,7 @@ SPEC = register(
     ExperimentSpec(
         id="table13",
         title="End-to-end, Alibaba durations (headline experiment)",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
     )

@@ -48,6 +48,7 @@ SPEC = register(
     ExperimentSpec(
         id="table14",
         title="End-to-end, Gavel durations (long-running training jobs)",
+        params={"num_jobs": int},
         build=_build,
         aggregate=_aggregate,
     )

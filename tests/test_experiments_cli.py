@@ -1,11 +1,16 @@
 """Tests for the experiments CLI (python -m repro.experiments)."""
 
+import ast
+import importlib
+import inspect
 import json
 
 import pytest
 
+from repro.experiments import __main__ as cli
+from repro.experiments import registry
 from repro.experiments.__main__ import main
-from repro.experiments.registry import experiment_ids
+from repro.experiments.registry import check_params, experiment_ids, get_experiment
 
 
 class TestList:
@@ -183,3 +188,80 @@ class TestDryRun:
         assert {
             l.split()[0] for l in cold.splitlines() if l.startswith("  ")
         } == {l.split()[0] for l in warm.splitlines() if l.startswith("  ")}
+
+
+class TestParamValidation:
+    """``--param`` is checked against each spec's declared parameters
+    before any experiment runs."""
+
+    @pytest.fixture
+    def nothing_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an experiment ran despite a bad --param")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "_dry_run_grid", refuse)
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_unknown_name_exits_2(self, capsys, nothing_runs, dry_run):
+        assert main(
+            ["prog", "run", "table11", "--param", "num_jobs=7", *dry_run]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "'num_jobs'" in captured.err
+        assert "table11 takes none" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_wrong_type_exits_2(self, capsys, nothing_runs, dry_run):
+        assert main(
+            ["prog", "run", "spot-eviction", "--param", "num_jobs=abc", *dry_run]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "spot-eviction" in err
+        assert "expects int, got 'abc'" in err
+        assert "takes num_jobs (int)" in err
+
+    def test_message_lists_every_parameter(self, capsys, nothing_runs):
+        assert main(
+            ["prog", "run", "table04", "--param", "num_tasks=2.5"]
+        ) == 2
+        assert (
+            "table04 takes ilp_time_limit_s (float), num_tasks (int), trials (int)"
+            in capsys.readouterr().err
+        )
+
+    def test_types(self):
+        table04 = [get_experiment("table04")]
+        check_params(table04, {"ilp_time_limit_s": 20, "num_tasks": 30})
+        check_params(table04, {"ilp_time_limit_s": 2.5, "trials": None})
+        for bad in ({"trials": True}, {"ilp_time_limit_s": False}, {"trials": 2.0}):
+            with pytest.raises(ValueError, match="table04"):
+                check_params(table04, bad)
+
+    def test_a_name_one_selected_experiment_declares_passes(self):
+        specs = [get_experiment(name) for name in ("table07", "table08")]
+        check_params(specs, {"num_jobs": 1000})
+        with pytest.raises(ValueError) as info:
+            check_params(specs, {"nosuch": 1})
+        assert "table07 takes none; table08 takes num_jobs (int)" in str(info.value)
+
+    def test_declarations_match_the_ctx_param_reads(self):
+        # Every name a spec module passes to ``ctx.param`` is declared by
+        # a spec of that module, and every declared name is read there.
+        declared: dict[str, set[str]] = {}
+        for spec in registry.all_specs():
+            module = (spec.build or spec.direct).__module__
+            declared.setdefault(module, set()).update(spec.params)
+        for name in registry._SPEC_MODULES:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            read = {
+                node.args[0].value
+                for node in ast.walk(ast.parse(inspect.getsource(module)))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "param"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "ctx"
+            }
+            assert read == declared.get(module.__name__, set()), name

@@ -1,5 +1,7 @@
 """Unit and property tests for Full Reconfiguration (Algorithm 1, §4.2)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,11 @@ from repro.core.full_reconfig import (
     configuration_cost,
     full_reconfiguration,
     match_existing_instances,
+)
+from repro.core.heterogeneous import (
+    FamilySpeedProfile,
+    HeterogeneousEvaluator,
+    HeterogeneousRPCalculator,
 )
 from repro.core.partial_reconfig import partial_reconfiguration
 from repro.core.reservation_price import ReservationPriceCalculator
@@ -683,3 +690,237 @@ class TestAlgorithmOneAgainstReference:
             )
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1]  # some survivor took newcomers
+
+
+def never_skip(monkeypatch):
+    """Make ``_TaskPool.value_ceiling`` rule no attempt out, and record
+    each attempt Algorithm 1 then makes with the ceiling the pool had
+    just before it.
+
+    Returns a list that gains one ``(value, ceiling)`` pair per attempt.
+    """
+    ceiling_of = _TaskPool.value_ceiling
+    pack = _pack_one_instance
+    attempts = []
+
+    def recorded(itype, pool, evaluator, resident=()):
+        ceiling = ceiling_of(pool, itype, evaluator)
+        chosen, value = pack(itype, pool, evaluator, resident)
+        attempts.append((value, ceiling))
+        return chosen, value
+
+    monkeypatch.setattr(
+        _TaskPool, "value_ceiling", lambda self, itype, evaluator: math.inf
+    )
+    monkeypatch.setattr(full_reconfig, "_pack_one_instance", recorded)
+    return attempts
+
+
+def count_attempts(monkeypatch):
+    """Returns a list that gains one entry per pack attempt."""
+    pack = _pack_one_instance
+    attempts = []
+
+    def counted(itype, pool, evaluator, resident=()):
+        attempts.append(itype.name)
+        return pack(itype, pool, evaluator, resident)
+
+    monkeypatch.setattr(full_reconfig, "_pack_one_instance", counted)
+    return attempts
+
+
+_SPEEDS = st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+
+
+class TestCeilingSkip:
+    """Algorithm 1 skips the attempts ``_TaskPool.value_ceiling`` proves
+    it would reject; the packing must equal the one that makes them."""
+
+    @pytest.mark.parametrize("cost_margin", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "kind", ["rp", "tnrp", "tnrp-single", "deadline", "heterogeneous"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                _WORKLOADS,
+                _DEMANDS,
+                st.integers(min_value=1, max_value=3),  # arity (§4.4)
+                st.sampled_from([1.0, 2.5, 4.0]),  # deadline urgency
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        pairs=st.lists(
+            st.tuples(
+                _WORKLOADS, _WORKLOADS, st.sampled_from([0.25, 0.5, 0.75, 0.9])
+            ),
+            max_size=6,
+        ),
+        speeds=st.dictionaries(
+            st.tuples(_WORKLOADS, st.sampled_from(["c7i", "r7i", "p3"])),
+            _SPEEDS,
+            max_size=8,
+        ),
+    )
+    def test_skip_is_exact_and_bound_admissible(
+        self, kind, cost_margin, jobs, pairs, speeds
+    ):
+        table = CoLocationThroughputTable()
+        for a, b, tput in pairs:
+            if a != b:
+                table.observe_single_task_job(
+                    TaskPlacementObservation(a, (b,)), tput
+                )
+        mapping, urgency, tasks = {}, {}, []
+        for i, (workload, demand, arity, u) in enumerate(jobs):
+            job = make_job(
+                workload, {"*": demand}, 1.0, num_tasks=arity, job_id=f"j{i}"
+            )
+            mapping[job.job_id] = job
+            urgency[job.job_id] = u
+            tasks.extend(job.tasks)
+        catalog = ec2_catalog()
+        profile = FamilySpeedProfile(
+            speeds={
+                workload: {f: v for (w, f), v in speeds.items() if w == workload}
+                for workload, _ in speeds
+            }
+        )
+
+        def make_evaluator():
+            calc = ReservationPriceCalculator(catalog)
+            if kind == "heterogeneous":
+                return HeterogeneousEvaluator(
+                    calculator=HeterogeneousRPCalculator(catalog, profile),
+                    table=table,
+                    jobs=mapping,
+                )
+            if kind == "tnrp-single":
+                return TNRPEvaluator(
+                    calc, table, jobs=mapping, multi_task_aware=False
+                )
+            return _evaluator(kind, calc, table, mapping, urgency)
+
+        outcomes = []
+        for skip in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                attempts = [] if skip else never_skip(mp)
+                try:
+                    outcomes.append(
+                        _layout(
+                            full_reconfiguration(
+                                tasks,
+                                catalog,
+                                make_evaluator(),
+                                cost_margin=cost_margin,
+                            )
+                        )
+                    )
+                except RuntimeError as exc:
+                    # A multi-task job slower than speed 1 on every family
+                    # is worth less than its efficiency type costs, so the
+                    # heterogeneous evaluator leaves it unplaced; the same
+                    # tasks must be left over either way.
+                    assert kind == "heterogeneous"
+                    outcomes.append(str(exc))
+            for value, ceiling in attempts:
+                assert value <= ceiling + 1e-9
+        assert outcomes[0] == outcomes[1]
+
+    def test_skip_drops_attempts(self, monkeypatch):
+        tasks, table, _ = _microbench_setup(40, 7)
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        runs = []
+        for skip in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                attempts = count_attempts(mp) if skip else never_skip(mp)
+                packed = full_reconfiguration(
+                    tasks, catalog, TNRPEvaluator(calc, table, jobs={})
+                )
+            runs.append((_layout(packed), len(attempts)))
+        (with_skip, made), (without_skip, all_attempts) = runs
+        assert with_skip == without_skip
+        assert made < all_attempts
+
+    def test_margin_path_spends_only_the_anchor(self):
+        # Each of three tasks costs exactly c7i.2xlarge alone; with the
+        # small task beside it the set misses the 30% margin, so each
+        # attempt places its anchor alone and pushes the small task
+        # back.  The ceiling must keep the small task's cap: spending it
+        # on every margin path would rule out the third anchor.
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        anchors = [_single("wa", ResourceVector(0, 6, 12), f"a{i}") for i in range(3)]
+        small = _single("wb", ResourceVector(0, 2, 4), "b")
+        layouts = []
+        for skip in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not skip:
+                    never_skip(mp)
+                packed = full_reconfiguration(
+                    [*anchors, small], catalog, RPEvaluator(calc), cost_margin=0.3
+                )
+            layouts.append(_layout(packed))
+        assert layouts[0] == layouts[1]
+        assert [name for name, _ in layouts[0]].count("c7i.2xlarge") == 3
+
+    def test_guard_declines_where_a_rejected_attempt_rotates_a_group(self):
+        # Two interchangeable tasks fit the priciest type twice over but
+        # are worth far less than it: the attempt picks their group
+        # twice and is rejected, and pushing them back swaps the group's
+        # top tasks, which later picks would see.
+        catalog = ec2_catalog()
+        ev = RPEvaluator(ReservationPriceCalculator(catalog))
+        tasks = [_single("wa", ResourceVector(0, 2, 4), f"j{i}") for i in range(2)]
+        priciest = max(catalog, key=lambda it: it.hourly_cost)
+        pool = _TaskPool(tasks, ev, True)
+        assert len(pool.representatives()) == 1
+        assert pool.value_ceiling(priciest, ev) == math.inf
+        before = pool.fingerprint()
+        chosen, value = _pack_one_instance(priciest, pool, ev)
+        assert len(chosen) == 2 and value < priciest.hourly_cost
+        pool.push_back(chosen)
+        assert pool.fingerprint() != before
+        # Where the group fits only once, the ceiling is the RP sum.
+        smallest = min(catalog, key=lambda it: it.hourly_cost)
+        assert pool.value_ceiling(smallest, ev) == 2 * ev.task_rp(tasks[0])
+
+
+class TestValueCap:
+    """A heterogeneous task's value at throughput 1 on a bound family."""
+
+    @staticmethod
+    def _bound(catalog, speeds, family, job):
+        calc = HeterogeneousRPCalculator(catalog, FamilySpeedProfile(speeds))
+        return HeterogeneousEvaluator(
+            calculator=calc,
+            table=CoLocationThroughputTable(),
+            jobs={job.job_id: job},
+        ).for_family(family)
+
+    def test_speed_above_one_lifts_a_multi_task_cap_past_rp_times_speed(self):
+        catalog = ec2_catalog()
+        job = make_job("W", {"*": ResourceVector(0, 4, 8)}, 1.0, num_tasks=3)
+        ev = self._bound(catalog, {"W": {"c7i": 2.0}}, "c7i", job)
+        task = job.tasks[0]
+        rp_het = ev.task_rp(task)
+        assert rp_het == pytest.approx(0.1785 / 2)
+        # rp + (s - 1) * RP(j) with RP(j) = 3 rp: 4 rp, not rp * s.
+        assert ev.value_cap(task) == pytest.approx(4 * rp_het)
+        assert ev.value_cap(task) > 2.0 * rp_het
+        assert ev.value_cap(task) == ev.set_value([task])
+
+    def test_slow_family_cap_is_negative_and_the_ceiling_clamps_it(self):
+        catalog = ec2_catalog()
+        job = make_job("W", {"*": ResourceVector(0, 4, 8)}, 1.0, num_tasks=3)
+        ev = self._bound(catalog, {"W": {"r7i": 0.25}}, "r7i", job)
+        task = job.tasks[0]
+        # rp - (1 - 0.25) * 3 rp
+        assert ev.value_cap(task) == pytest.approx(-1.25 * ev.task_rp(task))
+        # One task fills r7i.xlarge's CPUs, so the guard allows a bound.
+        r7i_xlarge = next(it for it in catalog if it.name == "r7i.xlarge")
+        pool = _TaskPool(job.tasks, ev, True)
+        assert pool.value_ceiling(r7i_xlarge, ev) == 0.0
