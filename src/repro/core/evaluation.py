@@ -12,15 +12,18 @@ cost-efficiency criterion.
   with the §4.4 multi-task job extension ("Eva-TNRP" / "Eva-Multi").
 
 Evaluators also expose an incremental :class:`PackState` for Algorithm 1's
-inner ``argmax RP(T ∪ {τ'})``.  The TNRP state values a candidate with the
-same table lookups, in the same order, as ``set_value`` over the grown set,
-memoized per candidate workload, so it agrees with ``set_value`` bit for
-bit whatever entries the throughput table holds.
+inner ``argmax RP(T ∪ {τ'})``.  The TNRP state keeps, per member, the
+running pairwise product over its neighbours, multiplied in the order
+``set_value`` multiplies them, and the exact table entries one workload
+away from them; a candidate then costs O(1) per member, and the state
+agrees with ``set_value`` bit for bit whatever entries the throughput
+table holds.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -31,7 +34,10 @@ from repro.core.throughput_table import CoLocationThroughputTable
 
 
 class PackState(ABC):
-    """Incremental evaluation of one instance's tentative task set ``T``."""
+    """Incremental evaluation of one instance's tentative task set ``T``
+    under :attr:`evaluator`, whose ``set_value`` it reproduces."""
+
+    evaluator: "AssignmentEvaluator"
 
     #: True when ``value_with(τ) == value + delta(τ)`` with ``delta(τ)``
     #: independent of the current members.  Algorithm 1's argmax then
@@ -73,7 +79,12 @@ class AssignmentEvaluator(ABC):
         throughput 1.  Throughputs lie in [0, 1], and TNRP's urgency only
         scales the degradation charge, so under RP and TNRP this is the
         reservation price.  It may be negative (a multi-task job on a
-        slow family under the heterogeneous evaluator)."""
+        slow family under the heterogeneous evaluator).
+
+        It is also what ``task`` is worth alone: on an empty state,
+        ``make_state().value_with(task) == 0.0 + value_cap(task)``, which
+        lets Algorithm 1 pick each instance's first task without a state.
+        """
         return self.task_rp(task)
 
     @abstractmethod
@@ -120,7 +131,7 @@ class _RPPackState(PackState):
     delta_stable = True
 
     def __init__(self, evaluator: "RPEvaluator", tasks: Sequence[Task]):
-        self._evaluator = evaluator
+        self.evaluator = evaluator
         self._value = sum(evaluator.task_rp(t) for t in tasks)
 
     @property
@@ -128,13 +139,13 @@ class _RPPackState(PackState):
         return self._value
 
     def delta(self, task: Task) -> float:
-        return self._evaluator.task_rp(task)
+        return self.evaluator.task_rp(task)
 
     def value_with(self, task: Task) -> float:
-        return self._value + self._evaluator.task_rp(task)
+        return self._value + self.evaluator.task_rp(task)
 
     def add(self, task: Task) -> None:
-        self._value += self._evaluator.task_rp(task)
+        self._value += self.evaluator.task_rp(task)
 
 
 @dataclass
@@ -171,19 +182,16 @@ class TNRPCaches:
     """Cross-round memo shared by successive TNRP evaluators.
 
     A scheduler builds a fresh :class:`TNRPEvaluator` per round (the jobs
-    mapping changes), but the underlying quantities are stable for the
-    scheduler's lifetime: ``TNRP(τ, tput)`` depends only on the task's RP
-    and its job's RP, and ``set_value`` additionally on the throughput
-    table's current entries.  Passing one ``TNRPCaches`` to every
-    evaluator lets those results survive across rounds; the set-value
-    memo is dropped whenever the table records a changed value (its
-    ``version`` bumps), the TNRP memo never needs invalidation.
+    mapping changes), but ``set_value`` depends only on the tasks' RPs,
+    their jobs' RPs and the throughput table's current entries.  Passing
+    one ``TNRPCaches`` to every evaluator lets its results survive across
+    rounds; the memo is dropped whenever the table records a changed
+    value (its ``version`` bumps).
     """
 
-    __slots__ = ("tnrp", "set_value", "table_version", "catalog_token")
+    __slots__ = ("set_value", "table_version", "catalog_token")
 
     def __init__(self) -> None:
-        self.tnrp: dict[tuple[str, float], float] = {}
         self.set_value: dict[tuple[str, ...], float] = {}
         self.table_version = -1
         self.catalog_token: tuple | None = None
@@ -195,12 +203,11 @@ class TNRPCaches:
             self.table_version = version
 
     def bind(self, catalog_token: tuple) -> None:
-        """Tie the memos to one catalog.  Every cached value embeds RPs,
+        """Tie the memo to one catalog.  Every cached value embeds RPs,
         so an evaluator priced against a different catalog must not reuse
         them: rebinding to a new token drops everything."""
         if catalog_token != self.catalog_token:
             if self.catalog_token is not None:
-                self.tnrp.clear()
                 self.set_value.clear()
             self.catalog_token = catalog_token
 
@@ -209,17 +216,43 @@ class _TNRPPackState(PackState):
     """Incremental TNRP of a tentative set.
 
     ``value_with(τ)`` is ``set_value(members + [τ])`` term by term (see
-    :meth:`scan_entry`), and ``add(τ)`` commits exactly that value, so a
+    :meth:`_scan_entry`), and ``add(τ)`` commits exactly that value, so a
     pairwise-product estimate and an exact table entry take one path.
     Serves any evaluator whose ``set_value`` sums ``tnrp_from_tput``
     over the set's ``table`` throughputs: :class:`TNRPEvaluator` and
     the heterogeneous evaluator (:mod:`repro.core.heterogeneous`).
+
+    ``table.tput(w, neighbours)`` multiplies ``pairwise(w, n)`` into 1.0
+    in neighbour order, and member i's neighbours in ``set_value`` are
+    the earlier members, then the later ones in add order.  So each
+    member keeps that product over its current neighbours, ``add``
+    multiplies in the newcomer's factor, and a candidate of workload x
+    gives member i ``product_i · pairwise(w_i, x)``: the same factors in
+    the same order, hence the same bits.  A candidate's own product over
+    the members grows the same way, one factor per ``add``.  An exact
+    entry wins on both paths; each member reads its
+    :meth:`~CoLocationThroughputTable.exact_row`, the exact entries one
+    workload beyond its current neighbours, once per member set, so a
+    member term is O(1).
     """
 
     def __init__(self, evaluator: AssignmentEvaluator, tasks: Sequence[Task]):
-        self._ev = evaluator
+        self.evaluator = evaluator
+        self._table: CoLocationThroughputTable = evaluator.table  # type: ignore[attr-defined]
+        self._default = self._table.default_tput
         self._members: list[Task] = []
         self._workloads: list[str] = []
+        #: The member workloads, sorted: a candidate's exact-entry key.
+        self._sorted: tuple[str, ...] = ()
+        #: Per member: the pairwise product over its current neighbours,
+        #: its pairwise row, and its exact-entry row (None when it has
+        #: none; the rows list is None until the next scan reads it).
+        self._products: list[float] = []
+        self._pairs: list[Mapping[str, float]] = []
+        self._rows: list[Mapping[str, float] | None] | None = []
+        #: Per candidate workload: how many members its product covers,
+        #: the product, and its pairwise row.
+        self._candidates: dict[str, tuple[int, float, Mapping[str, float]]] = {}
         self._value = 0.0
         #: Scan memo, cleared on every ``add``: for a fixed member set,
         #: the member-sum and the candidate's throughput depend only on
@@ -235,38 +268,77 @@ class _TNRPPackState(PackState):
         return self._value
 
     def value_with(self, task: Task) -> float:
-        member_sum, tput_cand = self.scan_entry(task.workload)
-        return member_sum + self._ev.tnrp_from_tput(task, tput_cand)
-
-    def scan_entry(self, workload: str) -> tuple[float, float]:
-        """Scan terms for a candidate of ``workload``.
-
-        Reproduces ``set_value(members + [candidate])`` term by term and
-        in the same accumulation order: member i sees neighbours
-        ``ws[:i] + ws[i+1:] + [w_cand]``, the candidate sees ``ws``.
-        Both the member sum and the candidate's throughput depend on the
-        candidate only through its workload, hence the per-workload memo
-        consulted by every same-workload candidate of Algorithm 1's scan.
-        """
-        entry = self._scan_cache.get(workload)
+        entry = self._scan_cache.get(task.workload)
         if entry is None:
-            ev = self._ev
-            tnrp = ev.tnrp_from_tput
-            tput = ev.table.tput
-            ws = self._workloads
-            member_sum = 0.0
-            for i, member in enumerate(self._members):
-                member_sum += tnrp(
-                    member, tput(ws[i], ws[:i] + ws[i + 1 :] + [workload])
-                )
-            entry = (member_sum, tput(workload, ws))
-            self._scan_cache[workload] = entry
+            entry = self._scan_entry(task.workload)
+        return entry[0] + self.evaluator.tnrp_from_tput(task, entry[1])
+
+    def _scan_entry(self, workload: str) -> tuple[float, float]:
+        """Scan terms for a candidate of ``workload``: the members' TNRP
+        sum, accumulated in member order as ``set_value`` does, and the
+        candidate's own throughput."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._exact_rows()
+        tnrp = self.evaluator.tnrp_from_tput
+        default = self._default
+        member_sum = 0.0
+        for member, product, pairs, row in zip(
+            self._members, self._products, self._pairs, rows
+        ):
+            tput = row.get(workload) if row else None
+            if tput is None:
+                tput = product * pairs.get(workload, default)
+            member_sum += tnrp(member, tput)
+        tput = 1.0
+        if self._sorted:
+            tput = self._table.exact(workload, self._sorted)
+            if tput is None:
+                tput = self._product(workload)
+        entry = self._scan_cache[workload] = (member_sum, tput)
         return entry
+
+    def _product(self, workload: str) -> float:
+        """``pairwise(workload, w)`` over the members, in add order."""
+        workloads = self._workloads
+        count = len(workloads)
+        entry = self._candidates.get(workload)
+        if entry is None:
+            entry = (0, 1.0, self._table.pairwise_row(workload))
+        done, product, pairs = entry
+        if done < count:
+            default = self._default
+            for other in workloads[done:]:
+                product *= pairs.get(other, default)
+            self._candidates[workload] = (count, product, pairs)
+        return product
+
+    def _exact_rows(self) -> list[Mapping[str, float] | None]:
+        """Each member's exact-entry row for the current member set."""
+        members = self._sorted
+        exact_row = self._table.exact_row
+        by_workload: dict[str, Mapping[str, float] | None] = {}
+        for at, workload in enumerate(members):
+            if workload not in by_workload:
+                by_workload[workload] = exact_row(
+                    workload, members[:at] + members[at + 1 :]
+                )
+        return [by_workload[workload] for workload in self._workloads]
 
     def add(self, task: Task) -> None:
         self._value = self.value_with(task)
+        workload = task.workload
+        products, default = self._products, self._default
+        for i, pairs in enumerate(self._pairs):
+            products[i] *= pairs.get(workload, default)
+        products.append(self._product(workload))
+        self._pairs.append(self._table.pairwise_row(workload))
         self._members.append(task)
-        self._workloads.append(task.workload)
+        self._workloads.append(workload)
+        members = self._sorted
+        at = bisect_left(members, workload)
+        self._sorted = members[:at] + (workload,) + members[at:]
+        self._rows = None
         self._scan_cache.clear()
 
 
@@ -313,6 +385,11 @@ class TNRPEvaluator(AssignmentEvaluator):
     #: and their RPs are fixed for this evaluator's lifetime (one round).
     _job_rp_cache: dict[str, float | None] = field(default_factory=dict, repr=False)
     urgency: Mapping[str, float] = field(default_factory=dict)
+    #: Per task id: ``(RP(τ), charge, u)`` of :meth:`tnrp_from_tput`, fixed
+    #: for this evaluator's lifetime (one round) like ``_job_rp_cache``.
+    _coefficients: dict[str, tuple[float, float | None, float]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         # The shared caches hold RP-derived values; make sure they were
@@ -339,21 +416,25 @@ class TNRPEvaluator(AssignmentEvaluator):
         return rp
 
     def tnrp_from_tput(self, task: Task, tput: float) -> float:
-        cache = self.caches.tnrp
-        key = (task.task_id, tput)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
+        coefficients = self._coefficients.get(task.task_id)
+        if coefficients is None:
+            coefficients = self._coefficients_of(task)
+        rp, charge, u = coefficients
+        if charge is None:
+            return tput * rp
+        # With u == 1 this is rp - (1 - tput) * RP(j) exactly: x * 1.0 == x.
+        return rp - (1.0 - tput) * charge * u
+
+    def _coefficients_of(self, task: Task) -> tuple[float, float | None, float]:
+        """The task's RP, the degradation charge (RP(j) under §4.4, RP(τ)
+        for an urgent task outside it, else None) and its urgency."""
         rp = self.calculator.rp(task)
-        job_rp = self._job_rp(task)
+        charge = self._job_rp(task)
         u = self.urgency.get(task.job_id, 1.0)
-        if u != 1.0:
-            charge = job_rp if job_rp is not None else rp
-            value = rp - (1.0 - tput) * charge * u
-        else:
-            value = rp - (1.0 - tput) * job_rp if job_rp is not None else tput * rp
-        cache[key] = value
-        return value
+        if charge is None and u != 1.0:
+            charge = rp
+        coefficients = self._coefficients[task.task_id] = (rp, charge, u)
+        return coefficients
 
     def task_tnrp(self, task: Task, neighbours: Sequence[str]) -> float:
         """TNRP of one task given the workloads co-located with it."""

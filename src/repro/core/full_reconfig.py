@@ -39,6 +39,10 @@ from repro.core.evaluation import AssignmentEvaluator
 
 _EPS = 1e-9
 
+#: Group index -> ``(gpus, cpus, ram, RP, value_cap)`` for one instance
+#: type (:meth:`_TaskPool.group_rows`).
+_Rows = dict[int, tuple[float, float, float, float, float]]
+
 
 @dataclass(frozen=True)
 class PackedInstance:
@@ -65,34 +69,36 @@ class _TaskPool:
     Groups are ordered deterministically (ascending group key, maintained
     incrementally with bisect instead of re-sorting on every mutation);
     tasks inside a group are stacks sorted by task id, so runs are
-    reproducible.  ``pop`` resolves the bucket by the task's group key in
-    O(1) instead of scanning every bucket.
+    reproducible.  Each group is known by its index in the sorted list
+    of the keys the pool starts with, so the scans hash a small int per
+    group rather than a nested key tuple, and ascending indices are
+    ascending keys.  ``pop`` and ``push_back`` take tasks from the
+    starting set and resolve their bucket in O(1).
     """
 
     def __init__(self, tasks: Iterable[Task], evaluator: AssignmentEvaluator,
                  group_identical: bool):
-        self._evaluator = evaluator
-        self._group_identical = group_identical
-        self._key_by_id: dict[str, tuple] = {}
+        key_by_id: dict[str, tuple] = {}
         buckets: dict[tuple, list[Task]] = {}
         size = 0
         for task in sorted(tasks, key=lambda t: t.task_id, reverse=True):
-            buckets.setdefault(self._key(task), []).append(task)
+            key = key_by_id.get(task.task_id)
+            if key is None:
+                key = key_by_id[task.task_id] = (
+                    evaluator.group_key(task) if group_identical else (task.task_id,)
+                )
+            buckets.setdefault(key, []).append(task)
             size += 1
-        self._buckets = buckets
-        self._ordered_keys = sorted(buckets)
+        #: Group index -> group key.
+        self._keys = sorted(buckets)
+        index = {key: i for i, key in enumerate(self._keys)}
+        self._group_by_id = {
+            task_id: index[key] for task_id, key in key_by_id.items()
+        }
+        self._buckets = {index[key]: bucket for key, bucket in buckets.items()}
+        #: Indices of the non-empty groups, ascending.
+        self._groups = list(range(len(self._keys)))
         self._size = size
-
-    def _key(self, task: Task) -> tuple:
-        key = self._key_by_id.get(task.task_id)
-        if key is None:
-            key = (
-                self._evaluator.group_key(task)
-                if self._group_identical
-                else (task.task_id,)
-            )
-            self._key_by_id[task.task_id] = key
-        return key
 
     def __len__(self) -> int:
         return self._size
@@ -103,11 +109,11 @@ class _TaskPool:
     def representatives(self) -> list[Task]:
         """One candidate task per non-empty group."""
         buckets = self._buckets
-        return [buckets[key][-1] for key in self._ordered_keys]
+        return [buckets[group][-1] for group in self._groups]
 
     def pop(self, task: Task) -> Task:
-        key = self._key(task)
-        bucket = self._buckets.get(key)
+        group = self._group_by_id.get(task.task_id)
+        bucket = self._buckets.get(group)
         if bucket is None or bucket[-1] is not task:
             raise KeyError(
                 f"task {task.task_id} is not a current representative"
@@ -115,17 +121,17 @@ class _TaskPool:
         popped = bucket.pop()
         self._size -= 1
         if not bucket:
-            del self._buckets[key]
-            del self._ordered_keys[bisect_left(self._ordered_keys, key)]
+            del self._buckets[group]
+            del self._groups[bisect_left(self._groups, group)]
         return popped
 
     def push_back(self, tasks: Sequence[Task]) -> None:
         for task in tasks:
-            key = self._key(task)
-            bucket = self._buckets.get(key)
+            group = self._group_by_id[task.task_id]
+            bucket = self._buckets.get(group)
             if bucket is None:
-                self._buckets[key] = [task]
-                insort(self._ordered_keys, key)
+                self._buckets[group] = [task]
+                insort(self._groups, group)
             else:
                 bucket.append(task)
             self._size += 1
@@ -138,43 +144,72 @@ class _TaskPool:
         identically iff their fingerprints match (given the same
         evaluator state).
         """
-        buckets = self._buckets
+        buckets, keys = self._buckets, self._keys
         return tuple(
-            (key, tuple(t.task_id for t in buckets[key]))
-            for key in self._ordered_keys
+            (keys[group], tuple(t.task_id for t in buckets[group]))
+            for group in self._groups
         )
 
-    def value_ceiling(
+    def group_rows(
         self, itype: InstanceType, evaluator: AssignmentEvaluator
+    ) -> _Rows:
+        """Per-group constants of packing ``itype`` from this pool.
+
+        Maps the index of each group whose tasks fit an empty ``itype`` to
+        ``(gpus, cpus, ram, RP, value_cap)``: the demand on the type's
+        family, then ``evaluator``'s reservation price and
+        :meth:`~AssignmentEvaluator.value_cap`.  A group that misses an
+        empty instance misses a partly filled one too, so it has no row.
+        All tasks in a group share a demand and a value, so the
+        representative decides for the whole bucket; the rows stay valid
+        while the pool only loses and regains tasks, as it does for one
+        type visit of Algorithm 1 and one survivor fill.
+        """
+        cap = itype.capacity
+        family = itype.family
+        max_gpus = cap.gpus + _EPS
+        max_cpus = cap.cpus + _EPS
+        max_ram = cap.ram_gb + _EPS
+        buckets = self._buckets
+        rows: _Rows = {}
+        for group in self._groups:
+            task = buckets[group][-1]
+            demand = task.demand_for(family)
+            g, c, r = demand.gpus, demand.cpus, demand.ram_gb
+            if g > max_gpus or c > max_cpus or r > max_ram:
+                continue
+            rows[group] = (g, c, r, evaluator.task_rp(task), evaluator.value_cap(task))
+        return rows
+
+    def value_ceiling(
+        self,
+        itype: InstanceType,
+        rows: _Rows,
     ) -> float:
         """Upper bound on the value of any instance of ``itype`` packed
         from this pool, or ``math.inf`` where no bound is safe to use.
 
-        Only tasks that fit the empty type can join, and each adds at
-        most its :meth:`~AssignmentEvaluator.value_cap`, clamped at 0 so
-        that a subset never sums above the whole.  Algorithm 1 skips the
+        Only tasks that fit the empty type can join (``rows``, from
+        :meth:`group_rows`), and each adds at most its
+        :meth:`~AssignmentEvaluator.value_cap`, clamped at 0 so that a
+        subset never sums above the whole.  Algorithm 1 skips the
         attempts this rules out, which gives the same packing only if a
         rejected attempt leaves the pool as it found it.  ``push_back``
         re-appends the popped tasks, so an attempt that picked one group
         twice swaps that group's top tasks: on a type where some group of
         two or more tasks fits twice (``_ArgmaxScan``'s clamped
-        arithmetic and ``_EPS``), the ceiling is ``inf``.  All tasks in a
-        group share a demand and a value, so the representative decides
-        for the whole bucket.
+        arithmetic and ``_EPS``), the ceiling is ``inf``.
         """
         cap = itype.capacity
-        family = itype.family
         gpus, cpus, ram = cap.gpus, cap.cpus, cap.ram_gb
         buckets = self._buckets
         ceiling = 0.0
-        for key in self._ordered_keys:
-            bucket = buckets[key]
-            task = bucket[-1]
-            demand = task.demand_for(family)
-            g, c, r = demand.gpus, demand.cpus, demand.ram_gb
-            if g > gpus + _EPS or c > cpus + _EPS or r > ram + _EPS:
+        for group in self._groups:
+            row = rows.get(group)
+            if row is None:
                 continue
-            count = len(bucket)
+            g, c, r, _, value = row
+            count = len(buckets[group])
             if (
                 count > 1
                 and g <= max(0.0, gpus - g) + _EPS
@@ -182,7 +217,6 @@ class _TaskPool:
                 and r <= max(0.0, ram - r) + _EPS
             ):
                 return math.inf
-            value = evaluator.value_cap(task)
             if value > 0.0:
                 ceiling += count * value
         return ceiling
@@ -193,115 +227,132 @@ class _TaskPool:
         ``pop(representatives()[0])`` would produce, without the per-pop
         representative rebuild."""
         drained: list[Task] = []
-        for key in self._ordered_keys:
-            drained.extend(reversed(self._buckets[key]))
+        for group in self._groups:
+            drained.extend(reversed(self._buckets[group]))
         self._buckets = {}
-        self._ordered_keys = []
+        self._groups = []
         self._size = 0
         return drained
 
 
 class _ArgmaxScan:
-    """Memoized inner argmax of Algorithm 1 (line 8) for one instance.
+    """Inner argmax of Algorithm 1 (line 8) for one instance.
 
-    Reused across the iterations of one greedy packing: single-task
-    reservation prices and family demands are cached per representative,
-    and for delta-stable evaluators (plain RP) each group's ``value_with``
-    increment is computed once and reused for the rest of the scan
-    instead of re-evaluated against the grown set every iteration.
-    Remaining capacity is tracked as three scalars with the same clamped
-    arithmetic as ``ResourceVector.__sub__``/``fits_within`` (identical
-    feasibility decisions, no per-check vector allocation).  Ranking is
-    unchanged: ``(value, RP(τ), task_id)``, descending.
+    Reused across the iterations of one greedy packing.  Demands, RPs
+    and value caps come from the type visit's :meth:`_TaskPool.group_rows`,
+    and for delta-stable evaluators (plain RP) each group's
+    ``value_with`` increment is computed once and reused for the rest of
+    the scan instead of re-evaluated against the grown set every
+    iteration.  Until the first :meth:`charge` the instance is empty, and
+    ``value_with`` on an empty state is ``0.0 + value_cap``: that first
+    scan ranks the rows alone.  Remaining capacity is tracked as three
+    scalars with the same clamped arithmetic as
+    ``ResourceVector.__sub__``/``fits_within`` (identical feasibility
+    decisions, no per-check vector allocation).  Ranking is unchanged:
+    ``(value, RP(τ), task_id)``, descending.
     """
 
     def __init__(
-        self, pool: _TaskPool, evaluator: AssignmentEvaluator, capacity, family: str
+        self,
+        pool: _TaskPool,
+        rows: _Rows,
+        capacity,
+        family: str,
     ):
         self._pool = pool
-        self._evaluator = evaluator
+        self._rows = rows
         self._family = family
-        self._rp: dict[str, float] = {}
-        self._delta: dict[str, float] = {}
-        self._demand: dict[str, tuple[float, float, float]] = {}
+        self._delta: dict[int, float] = {}
         self._gpus = capacity.gpus
         self._cpus = capacity.cpus
         self._ram = capacity.ram_gb
+        self._empty = True
 
     def charge(self, task: Task) -> None:
         """Deduct ``task``'s demand from the tracked remaining capacity."""
-        gpus, cpus, ram = self._demand_of(task)
+        demand = task.demand_for(self._family)
         # Clamped like ResourceVector.__sub__ so feasibility decisions
         # match the vector arithmetic bit for bit.
-        self._gpus = max(0.0, self._gpus - gpus)
-        self._cpus = max(0.0, self._cpus - cpus)
-        self._ram = max(0.0, self._ram - ram)
-
-    def _demand_of(self, task: Task) -> tuple[float, float, float]:
-        demand = self._demand.get(task.task_id)
-        if demand is None:
-            vec = task.demand_for(self._family)
-            demand = (vec.gpus, vec.cpus, vec.ram_gb)
-            self._demand[task.task_id] = demand
-        return demand
+        self._gpus = max(0.0, self._gpus - demand.gpus)
+        self._cpus = max(0.0, self._cpus - demand.cpus)
+        self._ram = max(0.0, self._ram - demand.ram_gb)
+        self._empty = False
 
     def best(self, state) -> tuple[Task | None, float]:
         """The feasible candidate maximizing ``value_with``, and its value."""
-        evaluator = self._evaluator
-        rp_cache = self._rp
-        delta_stable = state.delta_stable
-        deltas = self._delta
-        base = state.value
-        max_gpus = self._gpus + _EPS
-        max_cpus = self._cpus + _EPS
-        max_ram = self._ram + _EPS
-        best_task: Task | None = None
-        best_rank: tuple[float, float, str] | None = None
         pool = self._pool
         buckets = pool._buckets
-        for key in pool._ordered_keys:
-            candidate = buckets[key][-1]
-            gpus, cpus, ram = self._demand_of(candidate)
-            if gpus > max_gpus or cpus > max_cpus or ram > max_ram:
-                continue
-            task_id = candidate.task_id
-            if delta_stable:
-                delta = deltas.get(task_id)
-                if delta is None:
-                    delta = state.delta(candidate)
-                    deltas[task_id] = delta
-                value = base + delta
-            else:
-                value = state.value_with(candidate)
-            rp = rp_cache.get(task_id)
-            if rp is None:
-                rp = evaluator.task_rp(candidate)
-                rp_cache[task_id] = rp
-            rank = (value, rp, task_id)
-            if best_rank is None or rank > best_rank:
-                best_task, best_rank = candidate, rank
+        rows = self._rows
+        best_task: Task | None = None
+        best_value = best_rp = 0.0
+        best_id = ""
+        if self._empty:
+            # Every row fits, and ``value_with`` is ``0.0 + value_cap``
+            # (a -0.0 cap ranks as the 0.0 that sum gives would).
+            for group in pool._groups:
+                row = rows.get(group)
+                if row is None:
+                    continue
+                value, rp = row[4], row[3]
+                candidate = buckets[group][-1]
+                if best_task is None or value > best_value or (
+                    value == best_value
+                    and (rp, candidate.task_id) > (best_rp, best_id)
+                ):
+                    best_task = candidate
+                    best_value, best_rp, best_id = value, rp, candidate.task_id
+        else:
+            delta_stable = state.delta_stable
+            deltas = self._delta
+            base = state.value
+            max_gpus = self._gpus + _EPS
+            max_cpus = self._cpus + _EPS
+            max_ram = self._ram + _EPS
+            for group in pool._groups:
+                row = rows.get(group)
+                if row is None:
+                    continue
+                gpus, cpus, ram, rp, _ = row
+                if gpus > max_gpus or cpus > max_cpus or ram > max_ram:
+                    continue
+                candidate = buckets[group][-1]
+                if delta_stable:
+                    delta = deltas.get(group)
+                    if delta is None:
+                        delta = deltas[group] = state.delta(candidate)
+                    value = base + delta
+                else:
+                    value = state.value_with(candidate)
+                # Rank (value, RP, task_id), descending.
+                if best_task is None or value > best_value or (
+                    value == best_value
+                    and (rp, candidate.task_id) > (best_rp, best_id)
+                ):
+                    best_task = candidate
+                    best_value, best_rp, best_id = value, rp, candidate.task_id
         if best_task is None:
             return None, -float("inf")
-        assert best_rank is not None
-        return best_task, best_rank[0]
+        return best_task, best_value
 
 
 def _pack_one_instance(
     itype: InstanceType,
     pool: _TaskPool,
     evaluator: AssignmentEvaluator,
+    rows: _Rows,
     resident: Sequence[Task] = (),
 ) -> tuple[list[Task], float]:
     """Greedy inner loop of Algorithm 1 (lines 6–13) for one instance.
 
     Returns the tasks popped from ``pool`` and the value of the whole
-    set.  ``resident`` tasks (not in the pool) already occupy the
-    instance: they seed the value and use capacity, as when Partial
+    set.  ``rows`` are ``pool.group_rows(itype, evaluator)``, built once
+    per type visit.  ``resident`` tasks (not in the pool) already occupy
+    the instance: they seed the value and use capacity, as when Partial
     Reconfiguration offers a surviving instance's spare room (§4.5).
     """
     chosen: list[Task] = []
     state = evaluator.make_state(resident)
-    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
+    scan = _ArgmaxScan(pool, rows, itype.capacity, itype.family)
     for task in resident:
         scan.charge(task)
     while True:
@@ -416,9 +467,10 @@ def full_reconfiguration(
         # Both accept paths need a value of at least ``cost - _EPS``; an
         # attempt the ceiling rules out would be rejected (line 17), and
         # skipping it leaves the pool as the rejection would.
-        ceiling = pool.value_ceiling(itype, bound)
+        rows = pool.group_rows(itype, bound)
+        ceiling = pool.value_ceiling(itype, rows)
         while not pool.is_empty() and ceiling >= cost - 2 * _EPS:
-            chosen, value = _pack_one_instance(itype, pool, bound)
+            chosen, value = _pack_one_instance(itype, pool, bound, rows)
             threshold = cost * (1.0 + (cost_margin if len(chosen) > 1 else 0.0))
             if chosen and value >= threshold - _EPS:
                 placed = chosen

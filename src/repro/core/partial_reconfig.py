@@ -28,6 +28,7 @@ from repro.core.full_reconfig import (
     PackedInstance,
     PackMemo,
     _pack_one_instance,
+    _Rows,
     _TaskPool,
     full_reconfiguration,
     match_existing_instances,
@@ -57,13 +58,15 @@ def _fill_survivor(
     survivor: PackedInstance,
     pool: _TaskPool,
     evaluator: AssignmentEvaluator,
+    rows: _Rows,
 ) -> PackedInstance:
     """Offer subset tasks to a surviving instance's spare capacity.
 
-    ``evaluator`` is bound to the survivor's type (``for_type``).
+    ``evaluator`` is bound to the survivor's type (``for_type``), and
+    ``rows`` are the pool's group rows for that type.
     """
     added, _ = _pack_one_instance(
-        survivor.instance_type, pool, evaluator, resident=survivor.tasks
+        survivor.instance_type, pool, evaluator, rows, resident=survivor.tasks
     )
     if not added:
         return survivor
@@ -125,16 +128,19 @@ def partial_reconfiguration(
     # survivors first (mirrors Algorithm 1's type ordering).
     pool = _TaskPool(subset, evaluator, group_identical=True)
     filled: list[PackedInstance] = []
+    # Group rows per survivor type: the pool only loses tasks here.
+    rows: dict[str, _Rows] = {}
     for survivor in sorted(
         survivors, key=lambda p: (-p.hourly_cost, p.instance.instance_id)
     ):
         if pool.is_empty():
             filled.append(survivor)
         else:
+            itype = survivor.instance_type
+            if itype.name not in rows:
+                rows[itype.name] = pool.group_rows(itype, bound[itype.name])
             filled.append(
-                _fill_survivor(
-                    survivor, pool, bound[survivor.instance.instance_type.name]
-                )
+                _fill_survivor(survivor, pool, bound[itype.name], rows[itype.name])
             )
 
     # Stage 2 — pack the remainder with Algorithm 1 and reuse drained

@@ -13,6 +13,11 @@ Lookups (``tput``):
   default ``t`` (0.95 in all the paper's experiments): smaller ``t`` makes
   packing more conservative.
 
+Algorithm 1's TNRP pack state grows a set one task at a time, so it asks
+the same question from the other side: given a task's current neighbours,
+which one extra workload has an exact entry?  :meth:`exact_row` answers
+from an index kept beside the exact entries.
+
 Updates (``observe_single_task_job`` / ``observe_multi_task_job``): for a
 single-task job any throughput drop is attributable to its own co-located
 tasks.  For a multi-task job, a drop may come from local interference or
@@ -24,10 +29,15 @@ co-location throughput, converging upward as observations accumulate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 #: Default initial pairwise throughput — Eva's ``t`` parameter (§4.3).
 DEFAULT_PAIRWISE_TPUT = 0.95
+
+#: :meth:`CoLocationThroughputTable.pairwise_row` of a workload with no
+#: recorded pair.
+_NO_PAIRS: Mapping[str, float] = MappingProxyType({})
 
 
 def _set_key(neighbours: Iterable[str]) -> tuple[str, ...]:
@@ -61,15 +71,16 @@ class CoLocationThroughputTable:
     """Online-learned co-location throughput estimates (§4.3–§4.4)."""
 
     default_tput: float = DEFAULT_PAIRWISE_TPUT
-    _pairwise: dict[tuple[str, str], float] = field(default_factory=dict, repr=False)
+    #: ``workload -> {other: tput}``, mirroring the one-neighbour exacts.
+    _pairwise: dict[str, dict[str, float]] = field(default_factory=dict, repr=False)
     _exact: dict[tuple[str, tuple[str, ...]], float] = field(
         default_factory=dict, repr=False
     )
-    #: Memoized ``tput`` results keyed by the *given-order* neighbour
-    #: tuple (so repeated lookups skip the sort and the pairwise product
-    #: without changing per-ordering float behaviour); cleared whenever a
-    #: recorded entry actually changes value.
-    _tput_cache: dict[tuple[str, tuple[str, ...]], float] = field(
+    #: The exact entries again, keyed by the neighbour multiset less one
+    #: occurrence of a neighbour ``x``: ``(workload, rest) -> {x: tput}``
+    #: for every ``(workload, sorted(rest + (x,)))`` in :attr:`_exact`.
+    #: Written only by :meth:`_record`, with :attr:`_exact`.
+    _exact_by_rest: dict[tuple[str, tuple[str, ...]], dict[str, float]] = field(
         default_factory=dict, repr=False
     )
     #: Bumped whenever a recorded entry actually changes value; lets
@@ -86,7 +97,13 @@ class CoLocationThroughputTable:
     # ------------------------------------------------------------------
     def pairwise(self, workload: str, other: str) -> float:
         """Recorded (or default) throughput of ``workload`` next to ``other``."""
-        return self._pairwise.get((workload, other), self.default_tput)
+        return self.pairwise_row(workload).get(other, self.default_tput)
+
+    def pairwise_row(self, workload: str) -> Mapping[str, float]:
+        """``{other: tput}`` of every pair recorded for ``workload``; an
+        unlisted ``other`` pairs at :attr:`default_tput`.  The caller must
+        not mutate it."""
+        return self._pairwise.get(workload, _NO_PAIRS)
 
     def tput(self, workload: str, neighbours: Sequence[str]) -> float:
         """Estimated throughput of a task given its co-located workloads.
@@ -96,19 +113,26 @@ class CoLocationThroughputTable:
         """
         if not neighbours:
             return 1.0
-        key = (workload, tuple(neighbours))
-        cached = self._tput_cache.get(key)
-        if cached is not None:
-            return cached
         exact = self._exact.get((workload, _set_key(neighbours)))
         if exact is not None:
-            estimate = exact
-        else:
-            estimate = 1.0
-            for other in neighbours:
-                estimate *= self.pairwise(workload, other)
-        self._tput_cache[key] = estimate
+            return exact
+        estimate = 1.0
+        for other in neighbours:
+            estimate *= self.pairwise(workload, other)
         return estimate
+
+    def exact(self, workload: str, neighbours: tuple[str, ...]) -> float | None:
+        """The exact entry for ``workload`` next to ``neighbours`` (sorted,
+        non-empty), or None."""
+        return self._exact.get((workload, neighbours))
+
+    def exact_row(
+        self, workload: str, neighbours: tuple[str, ...]
+    ) -> dict[str, float] | None:
+        """``{x: tput}`` over every workload ``x`` whose placement of
+        ``workload`` next to ``neighbours`` (sorted) plus ``x`` has an exact
+        entry, or None when there is none.  The caller must not mutate it."""
+        return self._exact_by_rest.get((workload, neighbours))
 
     def is_recorded(self, observation: TaskPlacementObservation) -> bool:
         """Whether this exact placement has an entry in the table."""
@@ -122,14 +146,17 @@ class CoLocationThroughputTable:
     # ------------------------------------------------------------------
     def _record(self, observation: TaskPlacementObservation, tput: float) -> None:
         tput = min(1.0, max(0.0, tput))
-        if self._exact.get(observation.key) != tput:
-            # Pairwise entries mirror the pair exacts, so any value change
-            # here can shift arbitrary product estimates: drop the memo.
-            self._tput_cache.clear()
+        key = observation.key
+        if self._exact.get(key) != tput:
             self._version += 1
-        self._exact[observation.key] = tput
-        if observation.num_neighbours == 1:
-            self._pairwise[(observation.workload, observation.neighbours[0])] = tput
+        self._exact[key] = tput
+        workload, neighbours = key
+        for i, other in enumerate(neighbours):
+            if i == 0 or neighbours[i - 1] != other:
+                rest = (workload, neighbours[:i] + neighbours[i + 1 :])
+                self._exact_by_rest.setdefault(rest, {})[other] = tput
+        if len(neighbours) == 1:
+            self._pairwise.setdefault(workload, {})[neighbours[0]] = tput
 
     def observe_single_task_job(
         self, observation: TaskPlacementObservation, tput: float
@@ -200,10 +227,11 @@ class CoLocationThroughputTable:
         """Bulk-merge exact entries from a snapshot or another table.
 
         Every entry is routed through :meth:`_record`, so the pairwise
-        store behind the product estimate, the lookup memo, and the
-        :attr:`version` epoch behave exactly as if each value had been
-        observed online — a direct dict merge here would silently skip
-        the epoch bump and let the caches keyed on it (the TNRP set-value
+        store behind the product estimate, the exact-entry index behind
+        :meth:`exact_row`, and the :attr:`version` epoch behave exactly as
+        if each value had been observed online — a direct dict merge here
+        would leave the index behind and skip the epoch bump, letting the
+        pack state and the caches keyed on the epoch (the TNRP set-value
         memo, ``PackMemo``) serve stale throughputs.
 
         Returns the number of value-changing entries merged.

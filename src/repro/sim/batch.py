@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cloud.delays import DelayModel
 from repro.cloud.market import MarketConfig
 from repro.cluster.instance import InstanceType
+from repro.core.reservation_price import InfeasibleTaskError, ReservationPriceCalculator
 from repro.interference.model import InterferenceModel
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import (
@@ -389,6 +390,39 @@ class ScenarioOutcome:
     elapsed_s: float
 
 
+class InfeasibleScenarioError(InfeasibleTaskError):
+    """A scenario's trace holds a task that no instance type in its
+    catalog can host.  Raised before anything is simulated; the message
+    names the scenario, its fingerprint prefix and the task."""
+
+
+def check_feasible(
+    scenario: Scenario, trace: Trace, catalog: Sequence[InstanceType]
+) -> None:
+    """Raise :class:`InfeasibleScenarioError` if some task of ``trace``
+    fits no type of ``catalog``.
+
+    Each demand signature is priced once, through the reservation-price
+    calculator's own signature cache, so the check costs a dictionary
+    lookup per task.
+    """
+    calculator = ReservationPriceCalculator(catalog)
+    for job in trace.jobs:
+        for task in job.tasks:
+            try:
+                calculator.rp(task)
+            except InfeasibleTaskError as exc:
+                from repro.sim.fingerprint import FingerprintError
+
+                try:
+                    where = f"fingerprint {scenario.fingerprint()[:12]}"
+                except FingerprintError:
+                    where = "no fingerprint"
+                raise InfeasibleScenarioError(
+                    f"scenario {scenario.label} ({where}): {exc}"
+                ) from exc
+
+
 def _execute_scenario(scenario: Scenario) -> ScenarioOutcome:
     """Run one scenario; module-level so it pickles into worker processes.
 
@@ -414,6 +448,7 @@ def _execute_scenario(scenario: Scenario) -> ScenarioOutcome:
         if isinstance(scenario.trace, Trace)
         else scenario.trace.build(default_seed=scenario.seed)
     )
+    check_feasible(scenario, trace, catalog)
     scheduler = make_scheduler(
         scenario.scheduler,
         catalog,

@@ -362,3 +362,53 @@ class TestScaleKnob:
         monkeypatch.setenv("EVA_BENCH_SCALE", "big")
         with pytest.raises(ValueError, match="must be a float"):
             bench_scale()
+
+
+class TestInfeasibleScenario:
+    """A task no catalog type can host fails at the scenario boundary,
+    before the scheduler is built or ``run()`` entered, and the error
+    names the scenario."""
+
+    @staticmethod
+    def _scenario(scheduler, **kwargs):
+        from repro.cluster.resources import ResourceVector
+        from repro.cluster.task import make_job
+        from repro.workloads.trace import Trace
+
+        job = make_job("big", {"*": ResourceVector(64, 8, 32)}, 1.0, job_id="big-1")
+        return Scenario(
+            scheduler, Trace(name="big", jobs=(job,)), name="too-big", **kwargs
+        )
+
+    @pytest.fixture()
+    def no_run(self, monkeypatch):
+        from repro.sim.simulator import ClusterSimulator
+
+        entered = []
+        monkeypatch.setattr(
+            ClusterSimulator, "run", lambda self: entered.append(self)
+        )
+        yield
+        assert not entered
+
+    @pytest.mark.parametrize("scheduler", ["eva", "eva-rp", "no-packing"])
+    def test_names_scenario_fingerprint_and_task(self, scheduler, no_run):
+        scenario = self._scenario(scheduler)
+        with pytest.raises(batch.InfeasibleScenarioError) as info:
+            run_scenario(scenario)
+        assert isinstance(info.value, ValueError)
+        message = str(info.value)
+        assert message.startswith(
+            f"scenario too-big (fingerprint {scenario.fingerprint()[:12]}): "
+        )
+        assert "task big-1/t0 (big) fits no instance type" in message
+
+    def test_says_when_the_scenario_has_no_fingerprint(self, no_run):
+        scenario = self._scenario("eva", delay_model=DelayModel(stochastic=True))
+        with pytest.raises(batch.InfeasibleScenarioError, match=r"\(no fingerprint\)"):
+            run_scenario(scenario)
+
+    def test_parallel_batch_raises_it_too(self):
+        scenarios = [self._scenario("no-packing")] * 2
+        with pytest.raises(batch.InfeasibleScenarioError, match="scenario too-big"):
+            run_batch(scenarios, workers=2)

@@ -174,3 +174,171 @@ class TestPackStateConsistency:
             added.append(task)
             assert state.value == ev.set_value(added)
         assert ev.make_state(tasks).value == ev.set_value(tasks)
+
+    _REPEATED = ("GCN", "GPT2", "ResNet18")
+
+    @staticmethod
+    def _drawn_table(default_tput, entries):
+        """A table holding the drawn entries.  Each goes in through one of
+        the table's three write paths, in draw order, so a later draw of
+        the same placement changes a recorded value."""
+        table = CoLocationThroughputTable(default_tput=default_tput)
+        for workload, neighbours, tput, path in entries:
+            placement = TaskPlacementObservation(workload, tuple(neighbours))
+            if path == "single":
+                table.observe_single_task_job(placement, tput)
+            elif path == "multi":
+                table.observe_multi_task_job([placement], tput)
+            else:
+                table.sync({(workload, tuple(neighbours)): tput})
+        return table
+
+    @staticmethod
+    def _assert_matches_set_value(ev, tasks):
+        """Grow a state one task at a time; at every step every remaining
+        task's ``value_with`` and the committed ``value`` must equal
+        ``set_value`` bit for bit.  A state seeded with the members at
+        once (as Partial Reconfiguration seeds a survivor's residents)
+        must agree too."""
+        state = ev.make_state()
+        added = []
+        for i, task in enumerate(tasks):
+            seeded = ev.make_state(added)
+            assert seeded.value == state.value
+            for candidate in tasks[i:]:
+                expected = ev.set_value(added + [candidate])
+                assert state.value_with(candidate) == expected
+                assert seeded.value_with(candidate) == expected
+            state.add(task)
+            added.append(task)
+            assert state.value == ev.set_value(added)
+
+    _entries = st.lists(
+        st.tuples(
+            st.sampled_from(_REPEATED),
+            st.lists(st.sampled_from(_REPEATED), min_size=1, max_size=6),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from(["single", "multi", "sync"]),
+        ),
+        max_size=14,
+    )
+    _members = st.lists(
+        st.tuples(
+            st.sampled_from(_REPEATED),
+            st.integers(min_value=1, max_value=3),  # job arity (§4.4)
+            st.sampled_from([1.0, 2.5, 4.0]),  # urgency
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        default_tput=st.sampled_from([0.95, 0.7, 1.0]),
+        entries=_entries,
+        members=_members,
+    )
+    def test_tnrp_state_matches_set_value_on_drawn_tables(
+        self, default_tput, entries, members
+    ):
+        from repro.cloud.catalog import ec2_catalog
+
+        table = self._drawn_table(default_tput, entries)
+        calc = ReservationPriceCalculator(ec2_catalog())
+        jobs, urgency, tasks = {}, {}, []
+        for i, (name, arity, u) in enumerate(members):
+            job = _job(name, (1, 4, 8), num_tasks=arity, job_id=f"j{i}")
+            jobs[job.job_id] = job
+            urgency[job.job_id] = u
+            tasks.extend(job.tasks)
+        ev = TNRPEvaluator(
+            calc, table, jobs=jobs, multi_task_aware=True, urgency=urgency
+        )
+        self._assert_matches_set_value(ev, tasks[:8])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        default_tput=st.sampled_from([0.95, 0.7]),
+        entries=_entries,
+        members=_members,
+        speeds=st.dictionaries(
+            st.sampled_from(_REPEATED), st.sampled_from([0.5, 1.0, 1.7, 3.0])
+        ),
+    )
+    def test_heterogeneous_state_matches_set_value_on_drawn_tables(
+        self, default_tput, entries, members, speeds
+    ):
+        from repro.cloud.catalog import ec2_catalog
+        from repro.core.heterogeneous import (
+            FamilySpeedProfile,
+            HeterogeneousEvaluator,
+            HeterogeneousRPCalculator,
+        )
+
+        table = self._drawn_table(default_tput, entries)
+        catalog = ec2_catalog()
+        profile = FamilySpeedProfile(
+            speeds={name: {"p3": speed} for name, speed in speeds.items()}
+        )
+        jobs, tasks = {}, []
+        for i, (name, arity, _) in enumerate(members):
+            job = _job(name, (1, 4, 8), num_tasks=arity, job_id=f"j{i}")
+            jobs[job.job_id] = job
+            tasks.extend(job.tasks)
+        ev = HeterogeneousEvaluator(
+            calculator=HeterogeneousRPCalculator(catalog, profile),
+            table=table,
+            jobs=jobs,
+        ).for_family("p3")
+        self._assert_matches_set_value(ev, tasks[:8])
+
+
+class TestEmptyStateValueCap:
+    """Algorithm 1 ranks an empty instance's first pick on ``value_cap``
+    alone: on an empty state ``value_with`` must equal ``0.0 + value_cap``
+    under every evaluator."""
+
+    @staticmethod
+    def _tasks():
+        jobs = [
+            _job("GCN", (1, 4, 8), job_id="single"),
+            _job("GPT2", (1, 4, 8), num_tasks=3, job_id="multi"),
+            _job("ResNet18", (0, 2, 4), num_tasks=2, job_id="urgent"),
+        ]
+        return {job.job_id: job for job in jobs}
+
+    def _evaluators(self, jobs):
+        from repro.cloud.catalog import ec2_catalog
+        from repro.core.heterogeneous import (
+            FamilySpeedProfile,
+            HeterogeneousEvaluator,
+            HeterogeneousRPCalculator,
+        )
+
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        table = CoLocationThroughputTable(default_tput=0.8)
+        het = HeterogeneousEvaluator(
+            calculator=HeterogeneousRPCalculator(
+                catalog,
+                FamilySpeedProfile({"GPT2": {"p3": 2.0}, "GCN": {"p3": 0.5}}),
+            ),
+            table=table,
+            jobs=jobs,
+        )
+        return [
+            RPEvaluator(calc),
+            TNRPEvaluator(calc, table, jobs=jobs),
+            TNRPEvaluator(calc, table, jobs=jobs, multi_task_aware=False),
+            TNRPEvaluator(calc, table, jobs=jobs, urgency={"urgent": 3.0}),
+            het.for_family("p3"),
+            het.for_family("c7i"),
+        ]
+
+    def test_value_with_on_empty_state_is_value_cap(self):
+        jobs = self._tasks()
+        for ev in self._evaluators(jobs):
+            for job in jobs.values():
+                for task in job.tasks:
+                    expected = 0.0 + ev.value_cap(task)
+                    assert ev.make_state().value_with(task) == expected

@@ -356,12 +356,12 @@ class _ReferenceScan:
     """Cache-free Algorithm 1 line 8 with ``_ArgmaxScan``'s interface.
 
     Remaining capacity is a ``ResourceVector`` and every term of the
-    ``(value, RP, task_id)`` rank is recomputed on every call.
+    ``(value, RP, task_id)`` rank is recomputed on every call, from the
+    state's evaluator; the group rows go unread.
     """
 
-    def __init__(self, pool, evaluator, capacity, family):
+    def __init__(self, pool, rows, capacity, family):
         self._pool = pool
-        self._evaluator = evaluator
         self._family = family
         self._remaining = capacity
 
@@ -380,7 +380,7 @@ class _ReferenceScan:
             feasible,
             key=lambda t: (
                 state.value_with(t),
-                self._evaluator.task_rp(t),
+                state.evaluator.task_rp(t),
                 t.task_id,
             ),
         )
@@ -394,9 +394,9 @@ def use_reference_scan(monkeypatch):
     """
     built = []
 
-    def make(pool, evaluator, capacity, family):
+    def make(pool, rows, capacity, family):
         built.append(family)
-        return _ReferenceScan(pool, evaluator, capacity, family)
+        return _ReferenceScan(pool, rows, capacity, family)
 
     monkeypatch.setattr(full_reconfig, "_ArgmaxScan", make)
     return built
@@ -413,8 +413,9 @@ def _scan_picks(tasks, evaluator, itype, members=()):
     """
     pool = _TaskPool(tasks, evaluator, True)
     state = evaluator.make_state(members)
-    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
-    reference = _ReferenceScan(pool, evaluator, itype.capacity, itype.family)
+    rows = pool.group_rows(itype, evaluator)
+    scan = _ArgmaxScan(pool, rows, itype.capacity, itype.family)
+    reference = _ReferenceScan(pool, rows, itype.capacity, itype.family)
     for task in members:
         scan.charge(task)
         reference.charge(task)
@@ -457,9 +458,11 @@ _DEMANDS = st.sampled_from(
 class TestArgmaxScan:
     """Algorithm 1's inner argmax against a cache-free reference.
 
-    ``_ArgmaxScan`` memoizes RP, the delta-stable increment and demand
-    per representative, and tracks remaining capacity as three clamped
-    scalars; none of that may change a pick, a value or a tie-break.
+    ``_ArgmaxScan`` reads demands, RPs and value caps from the type
+    visit's group rows, ranks an empty instance's first pick on the caps
+    alone, memoizes the delta-stable increment per group, and tracks
+    remaining capacity as three clamped scalars; none of that may change
+    a pick, a value or a tie-break.
     """
 
     def test_equal_value_equal_rp_highest_task_id_wins(self):
@@ -535,7 +538,7 @@ class TestArgmaxScan:
 
     @pytest.mark.parametrize("start", ["fresh", "precharged"])
     @pytest.mark.parametrize(
-        "kind", ["rp", "tnrp-pairwise", "tnrp-exact", "deadline"]
+        "kind", ["rp", "tnrp-pairwise", "tnrp-exact", "deadline", "heterogeneous"]
     )
     @settings(max_examples=30, deadline=None)
     @given(
@@ -579,10 +582,25 @@ class TestArgmaxScan:
             urgency[job.job_id] = u
             tasks.extend(job.tasks)
         catalog = ec2_catalog()
-        ev = _evaluator(
-            kind, ReservationPriceCalculator(catalog), table, mapping, urgency
-        )
         itype = max(catalog, key=lambda it: it.capacity.gpus)
+        if kind == "heterogeneous":
+            # Speeds away from 1 part a task's value cap from its RP, which
+            # the first pick of an empty instance ranks on.
+            speeds = {"wa": 2.0, "wb": 0.5, "wc": 1.5}
+            ev = HeterogeneousEvaluator(
+                calculator=HeterogeneousRPCalculator(
+                    catalog,
+                    FamilySpeedProfile(
+                        {w: {itype.family: v} for w, v in speeds.items()}
+                    ),
+                ),
+                table=table,
+                jobs=mapping,
+            ).for_type(itype)
+        else:
+            ev = _evaluator(
+                kind, ReservationPriceCalculator(catalog), table, mapping, urgency
+            )
         members = tasks[:num_members] if start == "precharged" else []
         _scan_picks(tasks[len(members):], ev, itype, members=members)
 
@@ -631,7 +649,8 @@ class TestAlgorithmOneAgainstReference:
                 built = use_reference_scan(mp) if reference else []
                 ev = _evaluator(kind, calc, table, {}, urgency)
                 pool = _TaskPool(tasks, ev, True)
-                chosen, value = _pack_one_instance(itype, pool, ev)
+                rows = pool.group_rows(itype, ev)
+                chosen, value = _pack_one_instance(itype, pool, ev, rows)
             assert len(built) == int(reference)
             left = [t.task_id for t in pool.representatives()]
             outcomes.append(([t.task_id for t in chosen], value, left))
@@ -703,14 +722,14 @@ def never_skip(monkeypatch):
     pack = _pack_one_instance
     attempts = []
 
-    def recorded(itype, pool, evaluator, resident=()):
-        ceiling = ceiling_of(pool, itype, evaluator)
-        chosen, value = pack(itype, pool, evaluator, resident)
+    def recorded(itype, pool, evaluator, rows, resident=()):
+        ceiling = ceiling_of(pool, itype, rows)
+        chosen, value = pack(itype, pool, evaluator, rows, resident)
         attempts.append((value, ceiling))
         return chosen, value
 
     monkeypatch.setattr(
-        _TaskPool, "value_ceiling", lambda self, itype, evaluator: math.inf
+        _TaskPool, "value_ceiling", lambda self, itype, rows: math.inf
     )
     monkeypatch.setattr(full_reconfig, "_pack_one_instance", recorded)
     return attempts
@@ -721,9 +740,9 @@ def count_attempts(monkeypatch):
     pack = _pack_one_instance
     attempts = []
 
-    def counted(itype, pool, evaluator, resident=()):
+    def counted(itype, pool, evaluator, rows, resident=()):
         attempts.append(itype.name)
-        return pack(itype, pool, evaluator, resident)
+        return pack(itype, pool, evaluator, rows, resident)
 
     monkeypatch.setattr(full_reconfig, "_pack_one_instance", counted)
     return attempts
@@ -878,15 +897,17 @@ class TestCeilingSkip:
         priciest = max(catalog, key=lambda it: it.hourly_cost)
         pool = _TaskPool(tasks, ev, True)
         assert len(pool.representatives()) == 1
-        assert pool.value_ceiling(priciest, ev) == math.inf
+        rows = pool.group_rows(priciest, ev)
+        assert pool.value_ceiling(priciest, rows) == math.inf
         before = pool.fingerprint()
-        chosen, value = _pack_one_instance(priciest, pool, ev)
+        chosen, value = _pack_one_instance(priciest, pool, ev, rows)
         assert len(chosen) == 2 and value < priciest.hourly_cost
         pool.push_back(chosen)
         assert pool.fingerprint() != before
         # Where the group fits only once, the ceiling is the RP sum.
         smallest = min(catalog, key=lambda it: it.hourly_cost)
-        assert pool.value_ceiling(smallest, ev) == 2 * ev.task_rp(tasks[0])
+        rows = pool.group_rows(smallest, ev)
+        assert pool.value_ceiling(smallest, rows) == 2 * ev.task_rp(tasks[0])
 
 
 class TestValueCap:
@@ -923,4 +944,5 @@ class TestValueCap:
         # One task fills r7i.xlarge's CPUs, so the guard allows a bound.
         r7i_xlarge = next(it for it in catalog if it.name == "r7i.xlarge")
         pool = _TaskPool(job.tasks, ev, True)
-        assert pool.value_ceiling(r7i_xlarge, ev) == 0.0
+        rows = pool.group_rows(r7i_xlarge, ev)
+        assert pool.value_ceiling(r7i_xlarge, rows) == 0.0

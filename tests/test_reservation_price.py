@@ -146,8 +146,8 @@ class TestCatalogTokenKeying:
         )
 
     def test_shared_caches_rebind_drops_stale_prices(self, example_catalog):
-        """The cross-round TNRP memo survives rounds but not a catalog
-        change: the same task must get each catalog's own price."""
+        """The cross-round set-value memo survives rounds but not a
+        catalog change: the same task must get each catalog's own price."""
         from repro.core.evaluation import TNRPCaches, TNRPEvaluator
         from repro.core.throughput_table import CoLocationThroughputTable
 
@@ -162,16 +162,19 @@ class TestCatalogTokenKeying:
         calc_a = ReservationPriceCalculator(example_catalog)
         ev_a = TNRPEvaluator(calc_a, table, jobs=jobs, caches=caches)
         value_a = ev_a.tnrp_from_tput(task, 0.5)
-        assert caches.tnrp  # memo populated
+        set_a = ev_a.set_value(job.tasks)
+        assert caches.set_value  # memo populated
 
         calc_b = ReservationPriceCalculator(self._repriced(example_catalog))
         ev_b = TNRPEvaluator(calc_b, table, jobs=jobs, caches=caches)
         # Construction rebinds the shared caches to the new catalog token
         # and drops every RP-derived entry.
-        assert not caches.tnrp
+        assert not caches.set_value
         value_b = ev_b.tnrp_from_tput(task, 0.5)
         assert value_b == pytest.approx(2.0 * value_a)
+        assert ev_b.set_value(job.tasks) == pytest.approx(2.0 * set_a)
         # Rebinding back also invalidates (no cross-catalog survivors).
         ev_a2 = TNRPEvaluator(calc_a, table, jobs=jobs, caches=caches)
-        assert not caches.tnrp
+        assert not caches.set_value
         assert ev_a2.tnrp_from_tput(task, 0.5) == value_a
+        assert ev_a2.set_value(job.tasks) == set_a

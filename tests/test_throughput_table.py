@@ -195,16 +195,18 @@ class TestVersionEpochAudit:
         assert dst.version == 2
 
     def test_sync_invalidates_lookup_memo(self):
-        """Satellite-2 staleness regression: a lookup served through the
-        memo *before* a bulk merge must not survive it."""
+        """Staleness regression: a lookup made *before* a bulk merge must
+        not survive it."""
         table = CoLocationThroughputTable()
         stale = table.tput("a", ("b",))
         assert stale == table.default_tput
         changed = table.sync({("a", ("b",)): 0.5})
         assert changed == 1
         assert table.tput("a", ("b",)) == 0.5
-        # The pairwise mirror was routed through _record too.
+        # The pairwise mirror and the exact-entry index were routed
+        # through _record too.
         assert table.pairwise("a", "b") == 0.5
+        assert table.exact_row("a", ()) == {"b": 0.5}
 
     def test_sync_keeps_shared_tnrp_caches_fresh(self):
         """The evaluator's cross-round set-value memo epochs on
