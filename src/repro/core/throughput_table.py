@@ -147,8 +147,9 @@ class CoLocationThroughputTable:
     def _record(self, observation: TaskPlacementObservation, tput: float) -> None:
         tput = min(1.0, max(0.0, tput))
         key = observation.key
-        if self._exact.get(key) != tput:
-            self._version += 1
+        if self._exact.get(key) == tput:
+            return  # the monitor re-reports unchanged throughputs
+        self._version += 1
         self._exact[key] = tput
         workload, neighbours = key
         for i, other in enumerate(neighbours):

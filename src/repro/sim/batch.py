@@ -396,7 +396,7 @@ class InfeasibleScenarioError(InfeasibleTaskError):
     names the scenario, its fingerprint prefix and the task."""
 
 
-def check_feasible(
+def _check_feasible(
     scenario: Scenario, trace: Trace, catalog: Sequence[InstanceType]
 ) -> None:
     """Raise :class:`InfeasibleScenarioError` if some task of ``trace``
@@ -448,7 +448,7 @@ def _execute_scenario(scenario: Scenario) -> ScenarioOutcome:
         if isinstance(scenario.trace, Trace)
         else scenario.trace.build(default_seed=scenario.seed)
     )
-    check_feasible(scenario, trace, catalog)
+    _check_feasible(scenario, trace, catalog)
     scheduler = make_scheduler(
         scenario.scheduler,
         catalog,
