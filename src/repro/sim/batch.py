@@ -402,9 +402,9 @@ def _check_feasible(
     """Raise :class:`InfeasibleScenarioError` if some task of ``trace``
     fits no type of ``catalog``.
 
-    Each demand signature is priced once, through the reservation-price
-    calculator's own signature cache, so the check costs a dictionary
-    lookup per task.
+    Each distinct demand is priced once, through the reservation-price
+    calculator's own signature cache; every other task costs its demand
+    signature and a dictionary lookup.
     """
     calculator = ReservationPriceCalculator(catalog)
     for job in trace.jobs:
