@@ -288,7 +288,7 @@ class _ArgmaxScan:
         best_id = ""
         if self._empty:
             # Every row fits, and ``value_with`` is ``0.0 + value_cap``
-            # (a -0.0 cap ranks as the 0.0 that sum gives would).
+            # (a -0.0 cap compares equal to that sum's 0.0).
             for group in pool._groups:
                 row = rows.get(group)
                 if row is None:
