@@ -2,7 +2,9 @@
 
 Measures the engine's throughput on the two large-trace evaluation
 scenarios (the Table 10 synthetic 120-job trace and a Table 13-style
-Alibaba trace) and emits machine-readable records so future PRs have a
+Alibaba trace) and on the 10k-job Alibaba replay under Eva and under
+No-Packing, where Algorithm 1 never runs and the simulator's own event
+loop dominates, and emits machine-readable records so future PRs have a
 perf trajectory:
 
 * appends a run record to ``BENCH_hotpath.json`` at the repo root (the
@@ -65,6 +67,9 @@ def _scenarios() -> list[tuple[str, object, str]]:
     """(name, trace, scheduler registry name) triples, scale-aware."""
     table10_jobs = scaled(120, minimum=24, maximum=120)
     table13_jobs = scaled(300, minimum=40, maximum=6274)
+    replay = alibaba_replay_trace(
+        scaled(10_000, minimum=500, maximum=10_000), seed=0
+    )
     return [
         (
             f"table10_synthetic{table10_jobs}_eva",
@@ -87,9 +92,12 @@ def _scenarios() -> list[tuple[str, object, str]]:
             # scoped to runs with the same ``eva_bench_scale`` anyway, and
             # per-run ``num_jobs`` is recorded in the scenario stats.
             "table13_alibaba10k_eva",
-            alibaba_replay_trace(scaled(10_000, minimum=500, maximum=10_000), seed=0),
+            replay,
             "eva",
         ),
+        # The same replay under the paper's cost normalizer: no packing,
+        # so the time is the simulator's per-event and per-round work.
+        ("table13_alibaba10k_nopacking", replay, "no-packing"),
     ]
 
 

@@ -181,8 +181,8 @@ class RPEvaluator(AssignmentEvaluator):
 class TNRPCaches:
     """Cross-round memo shared by successive TNRP evaluators.
 
-    A scheduler builds a fresh :class:`TNRPEvaluator` per round (the jobs
-    mapping changes), but ``set_value`` depends only on the tasks' RPs,
+    A scheduler builds a fresh :class:`TNRPEvaluator` whenever the jobs
+    mapping changes, but ``set_value`` depends only on the tasks' RPs,
     their jobs' RPs and the throughput table's current entries.  Passing
     one ``TNRPCaches`` to every evaluator lets its results survive across
     rounds; the memo is dropped whenever the table records a changed
@@ -379,14 +379,15 @@ class TNRPEvaluator(AssignmentEvaluator):
     jobs: Mapping[str, Job] = field(default_factory=dict)
     multi_task_aware: bool = True
     #: Cross-round memo, normally owned by the scheduler so it persists
-    #: between the per-round evaluator instances.
+    #: between successive evaluator instances.
     caches: TNRPCaches = field(default_factory=TNRPCaches, repr=False)
     #: Memoized RP(j) (or None when §4.4 does not apply) per job id; jobs
-    #: and their RPs are fixed for this evaluator's lifetime (one round).
+    #: and their RPs are fixed for this evaluator's lifetime, which lasts
+    #: while its jobs mapping, calculator and caches serve unchanged.
     _job_rp_cache: dict[str, float | None] = field(default_factory=dict, repr=False)
     urgency: Mapping[str, float] = field(default_factory=dict)
     #: Per task id: ``(RP(τ), charge, u)`` of :meth:`tnrp_from_tput`, fixed
-    #: for this evaluator's lifetime (one round) like ``_job_rp_cache``.
+    #: for this evaluator's lifetime like ``_job_rp_cache``.
     _coefficients: dict[str, tuple[float, float | None, float]] = field(
         default_factory=dict, repr=False
     )

@@ -246,6 +246,8 @@ class EvaScheduler(Scheduler):
         #: Last computed round key, keyed by the identity of the snapshot
         #: collections it was derived from (see :meth:`_round_key`).
         self._round_key_cache: tuple | None = None
+        #: The last TNRP evaluator built (see :meth:`make_evaluator`).
+        self._evaluator: TNRPEvaluator | None = None
         #: This round's combined levers (see :class:`Signal`).
         self._urgency: dict[str, float] = {}
         self._hidden: frozenset[str] = frozenset()
@@ -286,10 +288,28 @@ class EvaScheduler(Scheduler):
             signal.observe(observations)
 
     def make_evaluator(self, snapshot: ClusterSnapshot) -> AssignmentEvaluator:
+        """The round's evaluator.
+
+        A TNRP evaluator's per-task coefficients and job RPs depend only
+        on its jobs mapping, calculator, caches and urgency, so last
+        round's evaluator serves again while those are the same objects
+        (the simulator hands over the same ``jobs`` until a job arrives
+        or finishes) and neither round has urgency: an urgent round's
+        fresh caches match no later round's.
+        """
         if not self.config.interference_aware:
             return RPEvaluator(self.rp_calculator)
         urgency = self._urgency
-        return TNRPEvaluator(
+        last = self._evaluator
+        if (
+            not urgency
+            and last is not None
+            and last.jobs is snapshot.jobs
+            and last.calculator is self.rp_calculator
+            and last.caches is self._tnrp_caches
+        ):
+            return last
+        self._evaluator = TNRPEvaluator(
             calculator=self.rp_calculator,
             table=self.monitor.table,
             jobs=snapshot.jobs,
@@ -299,6 +319,7 @@ class EvaScheduler(Scheduler):
             caches=TNRPCaches() if urgency else self._tnrp_caches,
             urgency=urgency,
         )
+        return self._evaluator
 
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
         """The §3 contract: the target of one observation-free round.

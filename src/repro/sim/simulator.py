@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -317,8 +317,8 @@ class _InstanceRT:
     #: Sorted workloads of the RUNNING tasks on this instance; None when a
     #: membership/status change invalidated it (recomputed lazily).
     running_cache: tuple[str, ...] | None = None
-    #: Frozen copy of ``assigned`` for snapshots; None when stale.
-    frozen_cache: frozenset[str] | None = None
+    #: This instance as snapshots show it; None when ``assigned`` changed.
+    state_cache: InstanceState | None = None
     #: Round-robin failure-domain id (rack/AZ analogue); only assigned
     #: when fault injection is on.
     failure_domain: int = 0
@@ -339,7 +339,15 @@ class _InstanceRT:
 
     def invalidate(self) -> None:
         self.running_cache = None
-        self.frozen_cache = None
+        self.state_cache = None
+
+    def state(self) -> InstanceState:
+        state = self.state_cache
+        if state is None:
+            state = self.state_cache = InstanceState(
+                instance=self.instance, task_ids=frozenset(self.assigned)
+            )
+        return state
 
 
 class SimulationError(RuntimeError):
@@ -684,18 +692,26 @@ class ClusterSimulator:
         #: task statuses, and task-to-instance assignments.  Everything
         #: the per-round snapshot and throughput reports are computed
         #: from is a pure function of this state, so while the epoch
-        #: stands still those computations are served from caches below
-        #: (steady-state rounds between job events dominate long traces).
+        #: stands still last round's snapshot collections and reports
+        #: tuple are reused outright (steady-state rounds between job
+        #: events dominate long traces).
         self._placement_epoch = 0
+        #: Jobs whose report or rate a transition may have moved since
+        #: the last round-end re-rate (see :meth:`_mark`).
+        self._moved: set[str] = set()
+        #: Each live job's last report (None while any of its tasks is
+        #: not RUNNING); a mark drops the job's entry.
+        self._job_reports: dict[str, JobThroughputReport | None] = {}
         self._reports_cache: tuple[JobThroughputReport, ...] = ()
         self._reports_epoch = -1
-        self._snapshot_cache: tuple[dict, dict, tuple] | None = None
+        #: The snapshot's ``tasks`` and ``jobs`` dicts (in ``_jobs``
+        #: order) and the live job ids in ascending order; None once a
+        #: job arrived or finished.
+        self._live_cache: (
+            tuple[dict[str, Task], dict[str, Job], list[str]] | None
+        ) = None
+        self._instance_states: tuple[InstanceState, ...] = ()
         self._snapshot_epoch = -1
-        #: Epoch at which round-end rate refreshes last ran: when nothing
-        #: placement-visible changed since, every live job's ground-truth
-        #: rate is unchanged and already versioned (> 0), so the refresh
-        #: would `continue` on every job — skip the walk entirely.
-        self._rates_epoch = -1
         #: Timestamp of the queued scheduling round, or None when no round
         #: is armed.  Tracking the timestamp (not a bool) dedupes redundant
         #: round events: an arm request whose boundary is already covered
@@ -862,9 +878,11 @@ class ClusterSimulator:
             rt.ckpt_interval_s = self.failures.retry.checkpoint_interval_s
             rt.last_ckpt_s = self.now_s
         self._jobs[job.job_id] = rt
+        self._live_cache = None
         for task in job.tasks:
             self._tasks[task.task_id] = _TaskRT(task=task)
         self._placement_epoch += 1
+        self._mark((job.job_id,))
         self._pending_obs.append(JobArrived(job_id=job.job_id, time_s=self.now_s))
         self._ensure_round_scheduled()
 
@@ -884,66 +902,67 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Scheduling rounds
     # ------------------------------------------------------------------
-    def _live_job_ids(self) -> list[str]:
-        return [jid for jid, rt in self._jobs.items() if not rt.finished]
+    def _live_views(self) -> tuple[dict[str, Task], dict[str, Job], list[str]]:
+        views = self._live_cache
+        if views is None:
+            tasks: dict[str, Task] = {}
+            jobs: dict[str, Job] = {}
+            for jid, rt in self._jobs.items():
+                jobs[jid] = rt.job
+                tasks.update(rt.task_map)
+            views = self._live_cache = (tasks, jobs, sorted(jobs))
+        return views
 
     def _on_round(self) -> None:
         if self._armed_round_s is None or self.now_s != self._armed_round_s:
             return  # stale round event, superseded by an earlier re-arm
         self._armed_round_s = None
-        live = self._live_job_ids()
+        tasks, jobs, live = self._live_views()
         if not live:
             return  # next arrival re-arms the round cadence
         self._rounds += 1
 
         self._advance_all(live)
-        snapshot = self._snapshot(live)
+        snapshot = self._snapshot(tasks, jobs)
         decision = self.scheduler.decide(snapshot, self._round_observations(live))
         if self.validate:
             decision.validate(
                 snapshot, allowed_actions=self.scheduler.action_types
             )
         self._env.execute(decision)
-        if self._placement_epoch != self._rates_epoch:
-            self._refresh_rates(live)
-            self._rates_epoch = self._placement_epoch
+        # A job no transition marked since the last re-rate keeps the
+        # rate it was last given, so re-rating it would change nothing.
+        self._refresh_rates(self._moved)
+        self._moved.clear()
 
         next_round = self.now_s + self.period_s
         self.queue.push(Event(next_round, EventKind.SCHEDULING_ROUND))
         self._armed_round_s = next_round
 
-    def _snapshot(self, live: Sequence[str]) -> ClusterSnapshot:
-        # The snapshot's collections are a pure function of the
-        # placement epoch (`live` itself changes only with the epoch:
-        # arrivals and finishes bump it), so steady-state rounds reuse
-        # last round's dicts/tuple and only restamp the time.  Consumers
-        # treat snapshots as immutable, which the frozen dataclass
-        # already promises.
+    def _snapshot(
+        self, tasks: dict[str, Task], jobs: dict[str, Job]
+    ) -> ClusterSnapshot:
+        # ``tasks`` and ``jobs`` change only when a job arrives or
+        # finishes, an instance keeps its state until its task set
+        # changes, and the instances tuple stays last round's while it
+        # would hold the same states: a round after task-status changes
+        # alone hands the scheduler last round's collections, restamped.
+        # Consumers treat snapshots as immutable, which the frozen
+        # dataclass already promises.
         if self._snapshot_epoch != self._placement_epoch:
-            tasks: dict[str, Task] = {}
-            jobs: dict[str, Job] = {}
-            for jid in live:
-                rt = self._jobs[jid]
-                jobs[jid] = rt.job
-                tasks.update(rt.task_map)
-            instances = []
-            for irt in self._instances.values():
-                if not irt.alive:
-                    continue
-                frozen = irt.frozen_cache
-                if frozen is None:
-                    frozen = frozenset(irt.assigned)
-                    irt.frozen_cache = frozen
-                instances.append(
-                    InstanceState(instance=irt.instance, task_ids=frozen)
-                )
-            instances.sort(key=lambda s: s.instance_id)
-            self._snapshot_cache = (tasks, jobs, tuple(instances))
+            alive = sorted(
+                (irt for irt in self._instances.values() if irt.alive),
+                key=lambda irt: irt.instance.instance_id,
+            )
+            self._instance_states = _same_or_new(
+                [irt.state() for irt in alive], self._instance_states
+            )
             self._snapshot_epoch = self._placement_epoch
-        assert self._snapshot_cache is not None
-        tasks, jobs, instance_states = self._snapshot_cache
         return ClusterSnapshot(
-            time_s=self.now_s, tasks=tasks, jobs=jobs, instances=instance_states
+            time_s=self.now_s,
+            tasks=tasks,
+            jobs=jobs,
+            instances=self._instance_states,
         )
 
     def _round_observations(
@@ -951,10 +970,11 @@ class ClusterSimulator:
     ) -> tuple[Observation, ...]:
         """Drain and assemble this round's typed observation stream.
 
-        Order is deterministic: events accumulated since the last
-        scheduler call (arrivals, completions, eviction notices) in
-        dispatch order, then deadline warnings for live deadline-bearing
-        jobs (ascending job id), then per-job throughput reports.
+        ``live`` holds the live job ids in ascending order.  Order is
+        deterministic: events accumulated since the last scheduler call
+        (arrivals, completions, eviction notices) in dispatch order,
+        then deadline warnings for live deadline-bearing jobs (ascending
+        job id), then per-job throughput reports.
 
         A job's :class:`~repro.core.protocol.DeadlineApproaching`
         warning is emitted exactly once — at the first round falling
@@ -966,7 +986,7 @@ class ClusterSimulator:
         observations = self._pending_obs
         self._pending_obs = []
         if self._has_deadline_jobs:
-            for jid in sorted(live):
+            for jid in live:
                 if jid in self._deadline_warned:
                     continue
                 rt = self._jobs[jid]
@@ -983,8 +1003,8 @@ class ClusterSimulator:
         if observations:
             observations.extend(ThroughputReport(r) for r in reports)
             return tuple(observations)
-        # Steady rounds: the epoch cache returns the same reports tuple,
-        # so the wrapper tuple can be reused as-is.
+        # Steady rounds: the reports tuple is last round's object, so the
+        # wrapper tuple can be reused as-is.
         if reports is not self._obs_cache_src:
             self._obs_cache_src = reports
             self._obs_cache = tuple(ThroughputReport(r) for r in reports)
@@ -993,44 +1013,68 @@ class ClusterSimulator:
     def _throughput_reports(
         self, live: Sequence[str]
     ) -> tuple[JobThroughputReport, ...]:
-        """Ground-truth job throughputs for fully running jobs (§5).
+        """Ground-truth job throughputs for fully running jobs (§5), in
+        the order of ``live`` (ascending job id).
 
-        Epoch-cached: reports depend only on placement-visible state
-        (statuses, assignments, live set), so steady-state rounds return
-        the *same tuple object* — which also lets the monitor's ingest
-        fast path recognize an already-applied round of reports.
+        A job's report is kept until a transition marks the job, so a
+        round recomputes only the marked jobs' reports.  When every
+        report is the object last round returned, so is the tuple, which
+        lets the monitor's ingest fast path recognize an already-applied
+        round of reports.
         """
         if self._reports_epoch == self._placement_epoch:
             return self._reports_cache
+        kept = self._job_reports
         reports = []
-        for jid in sorted(live):
-            rt = self._jobs[jid]
-            task_rts = [self._tasks[t.task_id] for t in rt.job.tasks]
-            if any(t.status is not TaskStatus.RUNNING for t in task_rts):
-                continue
-            placements = tuple(
-                TaskPlacementObservation(
-                    workload=t.task.workload,
-                    neighbours=tuple(self._running_neighbours(t)),
-                )
-                for t in task_rts
-            )
-            reports.append(
-                JobThroughputReport(
-                    job_id=jid,
-                    normalized_tput=self._job_rate(rt),
-                    placements=placements,
-                )
-            )
-        self._reports_cache = tuple(reports)
+        for jid in live:
+            if jid not in kept:
+                kept[jid] = self._job_report(self._jobs[jid])
+            report = kept[jid]
+            if report is not None:
+                reports.append(report)
+        self._reports_cache = _same_or_new(reports, self._reports_cache)
         self._reports_epoch = self._placement_epoch
         return self._reports_cache
+
+    def _job_report(self, job_rt: _JobRT) -> JobThroughputReport | None:
+        """The job's report, or None while any of its tasks is not RUNNING."""
+        task_rts = [self._tasks[t.task_id] for t in job_rt.job.tasks]
+        if any(t.status is not TaskStatus.RUNNING for t in task_rts):
+            return None
+        placements = tuple(
+            TaskPlacementObservation(
+                workload=t.task.workload,
+                neighbours=tuple(self._running_neighbours(t)),
+            )
+            for t in task_rts
+        )
+        return JobThroughputReport(
+            job_id=job_rt.job.job_id,
+            normalized_tput=self._job_rate(job_rt),
+            placements=placements,
+        )
 
     # ------------------------------------------------------------------
     # Cluster-state transitions: every event handler and environment
     # action changes task and instance state through these, so each
     # ClusterAccounting update has one call site.
     # ------------------------------------------------------------------
+    def _mark(self, job_ids: Iterable[str]) -> None:
+        """The reports and rates of ``job_ids`` may have moved: drop
+        their kept reports and re-rate them at the round's end.
+
+        A job's report and rate read its tasks' statuses, their
+        instances' running neighbours and the instances' throughput
+        multipliers, so the transitions that change those mark the jobs
+        they touch.  ``_start_task`` marks none: a PENDING task is in no
+        running-neighbour multiset, and its job already had a task that
+        was not RUNNING (a migrating task's ``_detach`` marked it).
+        """
+        reports = self._job_reports
+        for jid in job_ids:
+            reports.pop(jid, None)
+        self._moved.update(job_ids)
+
     def _detach(self, task: Task, inst: _InstanceRT) -> None:
         """``task`` leaves ``inst`` (still billed if it is alive)."""
         inst.assigned.discard(task.task_id)
@@ -1038,6 +1082,9 @@ class ClusterSimulator:
         if inst.alive:
             self._acct.task_unassigned(task, inst.instance.instance_type)
         self._placement_epoch += 1
+        touched = self._jobs_sharing_instance(inst.instance.instance_id)
+        touched.add(task.job_id)
+        self._mark(touched)
 
     def _requeue(self, task_rt: _TaskRT) -> None:
         """The task waits for a new placement; a pending resume goes stale."""
@@ -1045,6 +1092,7 @@ class ClusterSimulator:
         task_rt.instance_id = None
         task_rt.resume_version += 1
         self._placement_epoch += 1
+        self._mark((task_rt.task.job_id,))
 
     def _retire(self, inst: _InstanceRT, hold_until_s: float | None = None) -> None:
         """``inst`` goes down: it leaves the cluster now, and its billing
@@ -1084,9 +1132,10 @@ class ClusterSimulator:
         affected = self._jobs_sharing_instance(iid)
         self._advance_all(affected)
         setattr(inst, multiplier, value)
-        # Reported rates are placement-visible state: bump the epoch so
-        # snapshot/report caches rebuild with the new throughput.
+        # Reported rates are placement-visible state: the affected jobs'
+        # reports are rebuilt with the new throughput.
         self._placement_epoch += 1
+        self._mark(affected)
         self._pending_obs.append(
             StragglerReport(instance_id=iid, time_s=self.now_s, slowdown=value)
         )
@@ -1108,6 +1157,7 @@ class ClusterSimulator:
         self._advance_all(affected)
         task_rt.status = TaskStatus.RUNNING
         self._placement_epoch += 1
+        self._mark(affected)
         inst = self._instances.get(task_rt.instance_id)
         if inst is not None:
             inst.running_cache = None
@@ -1168,6 +1218,10 @@ class ClusterSimulator:
                 )
             )
         del self._jobs[job_id]
+        self._live_cache = None
+        # Its tasks' ``_detach`` calls dropped its kept report and marked
+        # it, and every job in ``affected``.
+        self._moved.discard(job_id)
         self._pending_obs.append(JobFinished(job_id=job_id, time_s=self.now_s))
         self._refresh_rates(affected)
 
@@ -1512,6 +1566,14 @@ class ClusterSimulator:
             self._acct.verify(self._instances, self._tasks)
         self._alloc.accumulate_totals(dt, self._acct)
         self._accounting_time_s = time_s
+
+
+def _same_or_new(items: list, last: tuple) -> tuple:
+    """``last`` when ``items`` holds its objects in its order, else a new
+    tuple: consumers' identity fast paths then see an unchanged round."""
+    if len(items) == len(last) and all(a is b for a, b in zip(items, last)):
+        return last
+    return tuple(items)
 
 
 def run_simulation(

@@ -20,10 +20,13 @@ must preserve a few conservation laws:
 
 from __future__ import annotations
 
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 
-import pickle
+import repro.cluster.instance as instance_module
 
 from repro.cloud.catalog import ec2_catalog
 from repro.cloud.delays import DelayModel
@@ -451,6 +454,54 @@ class _NaiveAccountingSimulator(ClusterSimulator):
         self._accounting_time_s = time_s
 
 
+class _RecomputingSimulator(ClusterSimulator):
+    """The simulator without its per-round reuse: every round drops every
+    kept report, queues every live job for the round-end re-rate and
+    drops the snapshot caches, so each report, rate, job view and
+    instance state is recomputed from the cluster state, as the
+    whole-cluster sweeps did.  It bypasses ``_mark``, the mechanism
+    under test, and an Eva scheduler's last-round evaluator, whose
+    reuse rides on the snapshot's ``jobs`` mapping."""
+
+    def _on_round(self) -> None:
+        self._job_reports.clear()
+        self._moved.update(self._jobs)
+        self._reports_epoch = self._snapshot_epoch = -1
+        self._reports_cache = self._instance_states = ()
+        self._live_cache = None
+        for irt in self._instances.values():
+            irt.running_cache = irt.state_cache = None
+        if isinstance(self.scheduler, EvaScheduler):
+            self.scheduler._evaluator = None
+        super()._on_round()
+
+
+def _record_rounds(scheduler: Scheduler) -> list[tuple]:
+    """Wrap ``scheduler.decide`` to record each round's inputs: the time,
+    the task and job ids, each instance's id and task ids, and the
+    observations."""
+    rounds: list[tuple] = []
+    decide = scheduler.decide
+
+    def recording(snapshot, observations=()):
+        rounds.append(
+            (
+                snapshot.time_s,
+                tuple(snapshot.tasks),
+                tuple(snapshot.jobs),
+                tuple(
+                    (st.instance_id, tuple(sorted(st.task_ids)))
+                    for st in snapshot.instances
+                ),
+                observations,
+            )
+        )
+        return decide(snapshot, observations)
+
+    scheduler.decide = recording
+    return rounds
+
+
 class TestIncrementalAccountingEquivalence:
     """The O(delta) engine must be indistinguishable from a full re-scan."""
 
@@ -617,9 +668,10 @@ def _simulate(
     scenario: Scenario,
     scheduler: Scheduler,
     delay_model: DelayModel | None = None,
+    sim_cls: type[ClusterSimulator] = ClusterSimulator,
 ) -> SimulationResult:
     """Run ``scenario``'s trace and environment under ``scheduler``."""
-    sim = ClusterSimulator(
+    sim = sim_cls(
         trace=scenario.trace.build(default_seed=scenario.seed),
         scheduler=scheduler,
         delay_model=delay_model,
@@ -807,6 +859,58 @@ class TestRoundMemoOracle:
             catalog,
             lambda: DelayModel(stochastic=True, rng=np.random.default_rng(seed)),
         )
+
+
+class TestRecomputingOracle:
+    """The simulator's kept reports, marks, job views and instance states
+    are mechanism only: against :class:`_RecomputingSimulator`, every
+    round hands the scheduler equal inputs and the results are
+    byte-identical.  Per-round inputs catch a missing mark that the
+    results alone may hide (the scheduler can decide the same on a stale
+    report)."""
+
+    @staticmethod
+    def _assert_recomputed_identical(monkeypatch, run):
+        """``run(sim_cls)`` simulates under a fresh scheduler whose rounds
+        :func:`_record_rounds` records, and returns (rounds, result)."""
+        records = []
+        for sim_cls in (ClusterSimulator, _RecomputingSimulator):
+            # Snapshots carry instance ids, minted from a process-global
+            # counter.
+            monkeypatch.setattr(
+                instance_module, "_instance_counter", itertools.count(1)
+            )
+            rounds, result = run(sim_cls)
+            records.append((rounds, pickle.dumps(result)))
+        (rounds, result), (reference_rounds, reference) = records
+        assert rounds
+        assert rounds == reference_rounds
+        assert result == reference
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_fuzzed_scenario(self, seed, catalog, monkeypatch):
+        scenario = _fuzz_scenario(seed)
+
+        def run(sim_cls):
+            scheduler = make_scheduler(scenario.scheduler, catalog)
+            rounds = _record_rounds(scheduler)
+            return rounds, _simulate(scenario, scheduler, sim_cls=sim_cls)
+
+        self._assert_recomputed_identical(monkeypatch, run)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "scheduler", ["eva", "stratus", "no-packing", "synergy", "owl"]
+    )
+    def test_random_trace(self, scheduler, seed, catalog, monkeypatch):
+        trace = _random_trace(seed)
+
+        def run(sim_cls):
+            policy = make_scheduler(scheduler, catalog)
+            rounds = _record_rounds(policy)
+            return rounds, sim_cls(trace=trace, scheduler=policy).run()
+
+        self._assert_recomputed_identical(monkeypatch, run)
 
 
 class TestAllocationIntegrator:

@@ -7,15 +7,18 @@ from repro.cloud.delays import DelayModel
 from repro.cluster.instance import fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.core.interfaces import Scheduler
+from repro.core.monitor import ThroughputMonitor
 from repro.core.protocol import (
     AssignTask,
     Decision,
     LaunchInstance,
     TerminateInstance,
     UnassignTask,
+    throughput_reports,
 )
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.scheduler import EvaScheduler
+from repro.core.throughput_table import CoLocationThroughputTable
 from repro.interference.model import InterferenceModel, no_interference_model
 from repro.sim.accounting import ClusterAccounting
 from repro.sim.simulator import ClusterSimulator, run_simulation
@@ -271,6 +274,83 @@ class TestUnassignTask:
         # The cross-check ran on the state the unassign left (task queued,
         # source held) and on the state after the held termination.
         assert 1800.0 in verified_at and 1800.0 + checkpoint_s in verified_at
+
+
+class TestRoundInputIdentity:
+    """Rounds whose inputs did not change hand the scheduler the same
+    objects, which the consumers' identity fast paths rely on: the
+    monitor's ingest fixpoint, the observation wrapper and
+    ``EvaScheduler._round_key``.
+
+    Job A arrives at 0 s and runs from 219 s (instance ready 209 s plus
+    A3C's 10 s launch); job B arrives at 450 s, the 500 s round places it
+    on a fresh instance, and it runs from 719 s.  Rounds fire every
+    100 s.
+    """
+
+    @pytest.fixture()
+    def rounds(self, catalog, monkeypatch):
+        trace = _trace([("A3C", 2.0, 0.0), ("A3C", 2.0, 450.0)])
+        scheduler = NoPackingScheduler(catalog)
+        monitor = ThroughputMonitor()
+        observed = []
+        observe = CoLocationThroughputTable.observe_single_task_job
+
+        def counting(table, *args, **kwargs):
+            observed.append(args)
+            return observe(table, *args, **kwargs)
+
+        monkeypatch.setattr(
+            CoLocationThroughputTable, "observe_single_task_job", counting
+        )
+        rounds = {}
+        decide = scheduler.decide
+
+        def recording(snapshot, observations=()):
+            before = len(observed)
+            monitor.ingest(throughput_reports(observations))
+            rounds[snapshot.time_s] = {
+                "snapshot": snapshot,
+                "observations": observations,
+                "epoch": sim._placement_epoch,
+                "table_version": monitor.table.version,
+                "table_observations": len(observed) - before,
+            }
+            return decide(snapshot, observations)
+
+        scheduler.decide = recording
+        sim = ClusterSimulator(trace, scheduler, period_s=100.0)
+        sim.run()
+        return rounds
+
+    def test_unchanged_reports_keep_their_tuple(self, rounds):
+        """The 500 s round placed B: the epoch moved, but a PENDING task
+        changes no report, so the 600 s round gets the reports tuple of
+        the steady 400 s round, and ingesting it touches no table
+        entry."""
+        steady, placed = rounds[400.0], rounds[600.0]
+        assert any(
+            "t-1/t0" in st.task_ids for st in placed["snapshot"].instances
+        )
+        assert placed["epoch"] > rounds[500.0]["epoch"]
+        assert placed["observations"] is steady["observations"]
+        assert placed["table_version"] == steady["table_version"]
+        assert placed["table_observations"] == 0
+
+    def test_task_ready_keeps_snapshot_collections(self, rounds):
+        """Between the 700 s and 800 s rounds only B's TASK_READY fired:
+        the scheduler gets the same ``tasks``, ``jobs`` and
+        ``instances`` objects, and A's report is the object it was."""
+        pending, ready = rounds[700.0], rounds[800.0]
+        assert ready["epoch"] > pending["epoch"]
+        for name in ("tasks", "jobs", "instances"):
+            assert getattr(ready["snapshot"], name) is getattr(
+                pending["snapshot"], name
+            ), name
+        before = throughput_reports(pending["observations"])
+        after = throughput_reports(ready["observations"])
+        assert [r.job_id for r in after] == ["t-0", "t-1"]
+        assert after[0] is before[0]
 
 
 class TestMetricsPlumbing:
