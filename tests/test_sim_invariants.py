@@ -899,9 +899,7 @@ class TestRecomputingOracle:
         self._assert_recomputed_identical(monkeypatch, run)
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize(
-        "scheduler", ["eva", "stratus", "no-packing", "synergy", "owl"]
-    )
+    @pytest.mark.parametrize("scheduler", scheduler_names())
     def test_random_trace(self, scheduler, seed, catalog, monkeypatch):
         trace = _random_trace(seed)
 
