@@ -20,12 +20,11 @@ re-traversing the tree per rule.  The walk collects:
 Set-typedness is deliberately syntactic (no type inference engine): set
 displays and comprehensions, ``set``/``frozenset`` calls, set-operator
 expressions, ``dict.keys()`` views, attributes/methods known to be
-set-valued in this codebase (``task_ids``, ``assigned_task_ids()``,
-``instance_ids()``), names assigned from any of those in the same
-function scope, and names narrowed by an enclosing
-``isinstance(x, (set, frozenset))`` guard.  False negatives are
-possible; false positives are rare by construction, and that is the
-right trade for a gate that must stay green.
+set-valued in this codebase (``task_ids``, ``assigned_task_ids()``),
+names assigned from any of those in the same function scope, and names
+narrowed by an enclosing ``isinstance(x, (set, frozenset))`` guard.
+False negatives are possible; false positives are rare by construction,
+and that is the right trade for a gate that must stay green.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 #: Attributes that are set-typed wherever they appear in this codebase
-#: (``InstanceState.task_ids`` / ``TargetInstance.task_ids`` are
-#: ``frozenset[str]``).
+#: (``InstanceState.task_ids`` is ``frozenset[str]``).
 ATTR_SET_NAMES = frozenset({"task_ids"})
 
 #: Zero/low-arg methods whose return value is a set or set-like view.
@@ -58,7 +56,6 @@ METHOD_SET_NAMES = frozenset(
     {
         "keys",
         "assigned_task_ids",
-        "instance_ids",
         "union",
         "intersection",
         "difference",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.cluster.instance import Instance, InstanceType, fresh_instance
 from repro.cluster.resources import ResourceVector
@@ -59,6 +59,24 @@ class OpenInstance:
         self.tasks.append(task)
 
 
+def open_instances_of(snapshot: ClusterSnapshot) -> list[OpenInstance]:
+    """The snapshot's instances as bins, each holding its tasks in id order."""
+    return [
+        OpenInstance(
+            instance=state.instance,
+            tasks=[snapshot.tasks[tid] for tid in sorted(state.task_ids)],
+        )
+        for state in snapshot.instances
+    ]
+
+
+def target_of(open_instances: Iterable[OpenInstance]) -> TargetConfiguration:
+    """The target that places each bin's tasks on its instance."""
+    return TargetConfiguration.from_pairs(
+        (oi.instance, (t.task_id for t in oi.tasks)) for oi in open_instances
+    )
+
+
 class ReactiveScheduler(Scheduler):
     """Keep-everything, place-new-tasks scheduling skeleton."""
 
@@ -97,13 +115,7 @@ class ReactiveScheduler(Scheduler):
 
     # -- Scheduler contract -------------------------------------------------
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
-        open_instances = [
-            OpenInstance(
-                instance=state.instance,
-                tasks=[snapshot.tasks[tid] for tid in sorted(state.task_ids)],
-            )
-            for state in snapshot.instances
-        ]
+        open_instances = open_instances_of(snapshot)
         to_place = snapshot.unassigned_tasks()
         to_place.extend(self.release_inefficient(open_instances, snapshot))
         for task in self.placement_order(to_place, snapshot):
@@ -118,9 +130,7 @@ class ReactiveScheduler(Scheduler):
             else:
                 opened = OpenInstance(instance=fresh_instance(choice), tasks=[task])
                 open_instances.append(opened)
-        return TargetConfiguration.from_pairs(
-            (oi.instance, (t.task_id for t in oi.tasks)) for oi in open_instances
-        )
+        return target_of(open_instances)
 
     # -- helpers -------------------------------------------------------------
     def cheapest_type_for(self, task: Task) -> InstanceType:

@@ -25,7 +25,7 @@ from repro.core.protocol import (
 )
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.interference.model import InterferenceModel
-from repro.baselines.base import OpenInstance
+from repro.baselines.base import OpenInstance, open_instances_of, target_of
 
 #: Pairs whose min pairwise throughput falls below this are "high
 #: interference" and never co-located by Owl.
@@ -92,13 +92,7 @@ class OwlScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
-        open_instances = [
-            OpenInstance(
-                instance=state.instance,
-                tasks=[snapshot.tasks[tid] for tid in sorted(state.task_ids)],
-            )
-            for state in snapshot.instances
-        ]
+        open_instances = open_instances_of(snapshot)
         # Right-size: release tasks stranded on instances whose value no
         # longer covers their price (same adaptation as Synergy — see
         # repro.baselines.synergy module docstring).
@@ -169,6 +163,4 @@ class OwlScheduler(Scheduler):
             )
             placed.add(task.task_id)
 
-        return TargetConfiguration.from_pairs(
-            (oi.instance, (t.task_id for t in oi.tasks)) for oi in open_instances
-        )
+        return target_of(open_instances)

@@ -29,7 +29,7 @@ from repro.cluster.task import Task
 from repro.core.interfaces import Scheduler
 from repro.core.protocol import AssignTask, LaunchInstance
 from repro.core.reservation_price import ReservationPriceCalculator
-from repro.baselines.base import OpenInstance
+from repro.baselines.base import OpenInstance, open_instances_of, target_of
 
 #: Smallest runtime bin edge, hours.  Bins are [base·2^k, base·2^{k+1}).
 _BIN_BASE_HOURS = 0.25
@@ -84,13 +84,7 @@ class StratusScheduler(Scheduler):
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
-        open_instances = [
-            OpenInstance(
-                instance=state.instance,
-                tasks=[snapshot.tasks[tid] for tid in sorted(state.task_ids)],
-            )
-            for state in snapshot.instances
-        ]
+        open_instances = open_instances_of(snapshot)
         queued = sorted(
             snapshot.unassigned_tasks(),
             key=lambda t: (-self.rp_calculator.rp(t), t.task_id),
@@ -110,9 +104,7 @@ class StratusScheduler(Scheduler):
             )
             self._scale_out(pending, open_instances)
 
-        return TargetConfiguration.from_pairs(
-            (oi.instance, (t.task_id for t in oi.tasks)) for oi in open_instances
-        )
+        return target_of(open_instances)
 
     def _pack_into_existing(
         self,

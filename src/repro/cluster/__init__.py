@@ -10,11 +10,8 @@ from repro.cluster.instance import (
 from repro.cluster.resources import RESOURCE_NAMES, ResourceVector
 from repro.cluster.state import (
     ClusterSnapshot,
-    ConfigurationDiff,
     InstanceState,
     TargetConfiguration,
-    TargetInstance,
-    diff_configuration,
     tasks_fit_on_type,
 )
 from repro.cluster.task import DEFAULT_FAMILY, Job, MigrationDelays, Task, make_job
@@ -28,11 +25,8 @@ __all__ = [
     "fresh_instance",
     "ghost_instance_type",
     "ClusterSnapshot",
-    "ConfigurationDiff",
     "InstanceState",
     "TargetConfiguration",
-    "TargetInstance",
-    "diff_configuration",
     "tasks_fit_on_type",
     "DEFAULT_FAMILY",
     "Job",

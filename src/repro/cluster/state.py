@@ -8,9 +8,9 @@ The scheduler interface (§3) is snapshot → target configuration:
 * :class:`TargetConfiguration` is the scheduler's decision: a set of
   instances (existing or to-be-launched) and the task-to-instance mapping.
 
-The simulator (and the runtime's Provisioner/Executor) *diffs* the target
-against the snapshot to derive operations: launch/terminate instances and
-start/migrate tasks.
+Both hold :class:`InstanceState` records.
+:func:`~repro.core.protocol.diff_target` plans the actions that move a
+snapshot to a target: launch/terminate instances and start/migrate tasks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ def tasks_fit_on_type(tasks: Iterable[Task], instance_type: InstanceType) -> boo
 
 @dataclass(frozen=True, slots=True)
 class InstanceState:
-    """One provisioned instance and the tasks currently assigned to it."""
+    """One instance and the tasks assigned to it.
+
+    In a snapshot, a provisioned instance and its current tasks.  In a
+    target, an instance with the snapshot's id is kept and any other is
+    launched.
+    """
 
     instance: Instance
     task_ids: frozenset[str]
@@ -43,6 +48,10 @@ class InstanceState:
     @property
     def instance_type(self) -> InstanceType:
         return self.instance.instance_type
+
+    @property
+    def hourly_cost(self) -> float:
+        return self.instance.hourly_cost
 
 
 @dataclass(frozen=True)
@@ -75,41 +84,17 @@ class ClusterSnapshot:
         return [t for tid, t in self.tasks.items() if tid not in assigned]
 
 
-@dataclass(frozen=True, slots=True)
-class TargetInstance:
-    """One instance in a target configuration.
-
-    ``instance`` may be an existing instance (same id as in the snapshot,
-    meaning "keep it") or a fresh one (meaning "launch a new instance of
-    this type").
-    """
-
-    instance: Instance
-    task_ids: frozenset[str]
-
-    @property
-    def instance_id(self) -> str:
-        return self.instance.instance_id
-
-    @property
-    def instance_type(self) -> InstanceType:
-        return self.instance.instance_type
-
-    @property
-    def hourly_cost(self) -> float:
-        return self.instance.hourly_cost
-
-
 @dataclass(frozen=True)
 class TargetConfiguration:
     """A scheduler's decision for the next period.
 
     Instances absent from the target (relative to the snapshot) are
     terminated; tasks mapped to a different instance than in the snapshot
-    are migrated.  Tasks absent from the target stay queued.
+    are migrated.  Tasks absent from the target stay where they are:
+    queued tasks stay queued, assigned tasks stay put.
     """
 
-    instances: tuple[TargetInstance, ...] = field(default=())
+    instances: tuple[InstanceState, ...] = field(default=())
 
     @classmethod
     def from_pairs(
@@ -117,7 +102,7 @@ class TargetConfiguration:
     ) -> "TargetConfiguration":
         return cls(
             instances=tuple(
-                TargetInstance(instance=inst, task_ids=frozenset(tids))
+                InstanceState(instance=inst, task_ids=frozenset(tids))
                 for inst, tids in pairs
             )
         )
@@ -135,9 +120,6 @@ class TargetConfiguration:
                     raise ValueError(f"task {tid} assigned to two instances")
                 mapping[tid] = ti.instance_id
         return mapping
-
-    def instance_ids(self) -> set[str]:
-        return {ti.instance_id for ti in self.instances}
 
     def validate(self, snapshot: ClusterSnapshot) -> None:
         """Check structural invariants against a snapshot.
@@ -160,49 +142,3 @@ class TargetConfiguration:
                     f"instance {ti.instance_id} ({ti.instance_type.name}) "
                     f"over-subscribed by tasks {sorted(ti.task_ids)}"
                 )
-
-
-@dataclass(frozen=True, slots=True)
-class ConfigurationDiff:
-    """Operations needed to move from a snapshot to a target configuration."""
-
-    launches: tuple[TargetInstance, ...]
-    terminations: tuple[str, ...]  # instance ids
-    migrations: tuple[tuple[str, str | None, str], ...]  # (task, from, to)
-    unchanged_tasks: tuple[str, ...]
-
-
-def diff_configuration(
-    snapshot: ClusterSnapshot, target: TargetConfiguration
-) -> ConfigurationDiff:
-    """Compute launch/terminate/migrate operations between snapshot and target."""
-    current_assignment: dict[str, str] = {}
-    current_instances: set[str] = set()
-    for state in snapshot.instances:
-        current_instances.add(state.instance_id)
-        for tid in sorted(state.task_ids):
-            current_assignment[tid] = state.instance_id
-
-    target_assignment = target.assignment()
-    target_instances = target.instance_ids()
-
-    launches = tuple(
-        ti for ti in target.instances if ti.instance_id not in current_instances
-    )
-    terminations = tuple(sorted(current_instances - target_instances))
-
-    migrations: list[tuple[str, str | None, str]] = []
-    unchanged: list[str] = []
-    for tid, dst in sorted(target_assignment.items()):
-        src = current_assignment.get(tid)
-        if src == dst:
-            unchanged.append(tid)
-        else:
-            migrations.append((tid, src, dst))
-
-    return ConfigurationDiff(
-        launches=launches,
-        terminations=terminations,
-        migrations=tuple(migrations),
-        unchanged_tasks=tuple(unchanged),
-    )

@@ -9,7 +9,9 @@ where ``S`` is the instantaneous provisioning-cost saving of a candidate
 (Σ over instances of value − cost), ``M`` its migration cost (task
 checkpoint/launch delays and instance acquisition/setup delays, priced at
 the involved instances' hourly rates), and ``D̂`` the estimated duration
-the new configuration will last.
+the new configuration will last.  Each candidate arrives as a planned
+:class:`~repro.core.protocol.Decision`: ``S`` is read from its target and
+``M`` from its actions, the same moves the round executes if it wins.
 
 ``D̂`` models job arrivals/completions ("events") as a Poisson process
 with rate λ and each event triggering a Full Reconfiguration independently
@@ -27,8 +29,9 @@ import math
 from dataclasses import dataclass, field
 
 from repro.cloud.delays import DelayModel
-from repro.cluster.state import ClusterSnapshot, TargetConfiguration, diff_configuration
+from repro.cluster.state import ClusterSnapshot, TargetConfiguration
 from repro.core.evaluation import AssignmentEvaluator
+from repro.core.protocol import AssignTask, Decision, LaunchInstance, MigrateTask
 
 #: Bounds keeping the D̂ formula finite with few observations.
 _P_MIN, _P_MAX = 1e-3, 1.0 - 1e-3
@@ -114,44 +117,53 @@ def provisioning_saving(
 
 
 def migration_cost(
-    target: TargetConfiguration,
+    plan: Decision,
     snapshot: ClusterSnapshot,
     delay_model: DelayModel | None = None,
 ) -> float:
-    """M — dollar cost of moving from the snapshot to ``target``.
+    """M — dollar cost of executing ``plan`` from the snapshot.
 
     Components (§4.5: "task migration delays and the cost of the involved
     instances"):
 
-    * per migrated/placed task: checkpoint delay billed at the source
-      instance's rate (when there is a source) plus launch delay billed at
-      the destination's rate;
-    * per newly launched instance: the Table 1 average acquisition + setup
-      delay billed at its own rate (paid-but-idle time).  The average,
-      not a sample: pricing must not draw from a stochastic model's RNG.
+    * per migrated/placed task, in the plan's (ascending task id) order:
+      checkpoint delay billed at the source instance's rate (when there
+      is a source) plus launch delay billed at the destination's rate;
+    * per launched instance, in plan order: the Table 1 average
+      acquisition + setup delay billed at its own rate (paid-but-idle
+      time).  The average, not a sample: pricing must not draw from a
+      stochastic model's RNG.
+
+    A snapshot instance is billed at its type's rate, a launched one at
+    its own ``hourly_cost``.
     """
     delays = delay_model or DelayModel()
-    diff = diff_configuration(snapshot, target)
-
-    cost = 0.0
+    launched = [a.instance for a in plan.actions if isinstance(a, LaunchInstance)]
     rate_by_id: dict[str, float] = {}
     for state in snapshot.instances:
         rate_by_id[state.instance_id] = state.instance_type.hourly_cost
-    for ti in target.instances:
-        rate_by_id.setdefault(ti.instance_id, ti.hourly_cost)
+    for instance in launched:
+        rate_by_id[instance.instance_id] = instance.hourly_cost
 
-    for task_id, src, dst in diff.migrations:
-        task = snapshot.tasks[task_id]
-        mult = delays.migration_multiplier
-        checkpoint_h = task.migration.checkpoint_s * mult / 3600.0
-        launch_h = task.migration.launch_s * mult / 3600.0
-        if src is not None:
-            cost += checkpoint_h * rate_by_id.get(src, 0.0)
-        cost += launch_h * rate_by_id.get(dst, 0.0)
+    cost = 0.0
+    mult = delays.migration_multiplier
+    for action in plan.actions:
+        if isinstance(action, MigrateTask):
+            migration = snapshot.tasks[action.task_id].migration
+            checkpoint_h = migration.checkpoint_s * mult / 3600.0
+            cost += checkpoint_h * rate_by_id[action.src_instance_id]
+            dst = action.dst_instance_id
+        elif isinstance(action, AssignTask):
+            migration = snapshot.tasks[action.task_id].migration
+            dst = action.instance_id
+        else:
+            continue
+        launch_h = migration.launch_s * mult / 3600.0
+        cost += launch_h * rate_by_id[dst]
 
     ready_h = delays.mean_instance_ready_s() / 3600.0
-    for ti in diff.launches:
-        cost += ready_h * ti.hourly_cost
+    for instance in launched:
+        cost += ready_h * instance.hourly_cost
     return cost
 
 
@@ -200,15 +212,20 @@ class EnsemblePolicy:
 
     def decide(
         self,
-        full: TargetConfiguration,
-        partial: TargetConfiguration,
+        full: Decision,
+        partial: Decision,
         snapshot: ClusterSnapshot,
         evaluator: AssignmentEvaluator,
-    ) -> tuple[TargetConfiguration, ReconfigDecision]:
-        """Pick between the two candidates per Equation 1."""
+    ) -> tuple[Decision, ReconfigDecision]:
+        """Pick between the two planned candidates per Equation 1.
+
+        ``full`` and ``partial`` are :func:`~repro.core.protocol.diff_target`
+        plans against ``snapshot``; the chosen one is returned as is.
+        """
+        assert full.target is not None and partial.target is not None
         decision = self.weigh(
-            provisioning_saving(full, snapshot, evaluator),
-            provisioning_saving(partial, snapshot, evaluator),
+            provisioning_saving(full.target, snapshot, evaluator),
+            provisioning_saving(partial.target, snapshot, evaluator),
             migration_cost(full, snapshot, self.delay_model),
             migration_cost(partial, snapshot, self.delay_model),
         )

@@ -78,8 +78,7 @@ class AssignmentEvaluator(ABC):
         """The most ``task`` can add to any set's value: its value at
         throughput 1.  Throughputs lie in [0, 1], and TNRP's urgency only
         scales the degradation charge, so under RP and TNRP this is the
-        reservation price.  It may be negative (a multi-task job on a
-        slow family under the heterogeneous evaluator).
+        reservation price.  It is never negative.
 
         It is also what ``task`` is worth alone: on an empty state,
         ``make_state().value_with(task) == 0.0 + value_cap(task)``, which

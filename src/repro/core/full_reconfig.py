@@ -191,8 +191,8 @@ class _TaskPool:
 
         Only tasks that fit the empty type can join (``rows``, from
         :meth:`group_rows`), and each adds at most its
-        :meth:`~AssignmentEvaluator.value_cap`, clamped at 0 so that a
-        subset never sums above the whole.  Algorithm 1 skips the
+        :meth:`~AssignmentEvaluator.value_cap`, which is never negative,
+        so a subset never sums above the whole.  Algorithm 1 skips the
         attempts this rules out, which gives the same packing only if a
         rejected attempt leaves the pool as it found it.  ``push_back``
         re-appends the popped tasks, so an attempt that picked one group
@@ -217,8 +217,7 @@ class _TaskPool:
                 and r <= max(0.0, ram - r) + _EPS
             ):
                 return math.inf
-            if value > 0.0:
-                ceiling += count * value
+            ceiling += count * value
         return ceiling
 
     def drain(self) -> list[Task]:
@@ -495,7 +494,7 @@ def full_reconfiguration(
             )
             if ceiling < math.inf:
                 for task in placed:
-                    ceiling -= max(0.0, bound.value_cap(task))
+                    ceiling -= bound.value_cap(task)
         if pool.is_empty():
             break
     if not pool.is_empty():

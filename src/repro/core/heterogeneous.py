@@ -16,9 +16,14 @@ family ``f`` (1.0 on its reference family):
   the cheapest dollars-per-unit-of-work, attained at the task's
   *efficiency type*;
 * a set ``T`` on an instance of type ``k`` is cost-efficient iff
-  ``Σ_τ RP_het(τ) · speed(τ, family(k)) · tput_τ ≥ C_k`` — each task
-  contributes what it would be worth at the rate it actually achieves
-  there.
+  ``Σ_τ speed(τ, family(k)) · TNRP_het(τ) ≥ C_k``, where ``TNRP_het`` is
+  the homogeneous TNRP over ``RP_het``: ``tput_τ · RP_het(τ)``, or
+  ``RP_het(τ) − (1 − tput_τ) · RP_het(j)`` for a task of a multi-task
+  job ``j`` (§4.4) — each task contributes what it would be worth at
+  the rate it actually achieves there.  The §4.4 degradation is charged
+  on co-location throughput only, so a task alone on its efficiency
+  type is worth that type's cost (to rounding, within Algorithm 1's
+  tolerance) and Algorithm 1 places every task.
 
 :class:`HeterogeneousEvaluator` plugs into Algorithm 1 unchanged:
 :func:`~repro.core.full_reconfig.full_reconfiguration` packs each type
@@ -29,6 +34,7 @@ homogeneous TNRP evaluator (tested).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -48,10 +54,20 @@ class FamilySpeedProfile:
 
     ``speeds[workload][family]`` is the task's standalone rate on that
     family relative to its reference family; missing entries default to
-    :data:`DEFAULT_SPEED` (family makes no difference).
+    :data:`DEFAULT_SPEED` (family makes no difference).  A speed must be
+    finite and >= 0 (0 rules the family out).
     """
 
     speeds: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for workload, row in self.speeds.items():
+            for family, speed in row.items():
+                if not 0.0 <= speed < math.inf:
+                    raise ValueError(
+                        f"speed of workload {workload!r} on family {family!r} "
+                        f"must be finite and >= 0, got {speed!r}"
+                    )
 
     def speed(self, workload: str, family: str) -> float:
         row = self.speeds.get(workload)
@@ -153,19 +169,20 @@ class HeterogeneousEvaluator(AssignmentEvaluator):
 
     def tnrp_from_tput(self, task: Task, tput: float) -> float:
         """The task's value at co-location throughput ``tput`` on this
-        family (the TNRP term :class:`_TNRPPackState` sums)."""
-        rate = tput * self._speed(task)
+        family (the TNRP term :class:`_TNRPPackState` sums): its TNRP
+        over ``RP_het`` scaled by the family speed."""
+        speed = self._speed(task)
         rp = self.calculator.rp(task)
         if self.multi_task_aware:
             job = self.jobs.get(task.job_id)
             if job is not None and job.is_multi_task:
                 job_rp = self.calculator.rp_of_set(list(job.tasks))
-                return rp - (1.0 - rate) * job_rp
-        return rate * rp
+                return speed * (rp - (1.0 - tput) * job_rp)
+        return tput * speed * rp
 
     def value_cap(self, task: Task) -> float:
-        """The task's value at throughput 1 on this family, which a speed
-        above 1 lifts over ``RP_het``."""
+        """The task's value at throughput 1 on this family,
+        ``speed · RP_het``, which a speed above 1 lifts over ``RP_het``."""
         return self.tnrp_from_tput(task, 1.0)
 
     def set_value(self, tasks: Sequence[Task]) -> float:

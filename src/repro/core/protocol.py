@@ -26,12 +26,11 @@ backend to re-derive operations from a whole-state rewrite:
   ``decide(snapshot, observations) -> Decision`` directly.
 
 **Canonical action order** (the order :func:`diff_target` emits and the
-order every conforming decision must respect): launches first, then
-task starts/migrations (ascending task id, as produced by
-:func:`~repro.cluster.state.diff_configuration`), then terminations
-(ascending instance id).  Backends rely on this — e.g. the simulator's
-checkpoint-hold bookkeeping assumes a task has migrated off an instance
-before that instance's termination is executed.
+order every conforming decision must respect): launches first (in
+target order), then task starts/migrations (ascending task id), then
+terminations (ascending instance id).  Backends rely on this — e.g. the
+simulator's checkpoint-hold bookkeeping assumes a task has migrated off
+an instance before that instance's termination is executed.
 
 The contract is exercised with a hard byte-identity guarantee: routing
 a legacy scheduler through ``diff_target`` + a backend's executor must
@@ -49,7 +48,6 @@ from repro.cluster.instance import Instance
 from repro.cluster.state import (
     ClusterSnapshot,
     TargetConfiguration,
-    diff_configuration,
     tasks_fit_on_type,
 )
 
@@ -151,7 +149,8 @@ class Decision:
     :class:`~repro.cluster.state.TargetConfiguration` the actions were
     derived from (set by :func:`diff_target`); validation uses it for
     the classic whole-configuration checks on top of the action-level
-    replay.  Protocol-native decisions may leave it ``None``.
+    replay, and Equation 1 reads a candidate's saving from it.
+    Protocol-native decisions may leave it ``None``.
     """
 
     actions: tuple[Action, ...] = field(default=())
@@ -342,27 +341,43 @@ def count_job_events(observations: tuple[Observation, ...]) -> int:
 def diff_target(snapshot: ClusterSnapshot, target: TargetConfiguration) -> Decision:
     """Plan the canonical action list moving ``snapshot`` to ``target``.
 
-    This is the one interpretation of the legacy §3 contract: it wraps
-    :func:`~repro.cluster.state.diff_configuration` and emits actions in
-    the canonical order (launches, then assigns/migrations ascending by
-    task id, then terminations ascending by instance id).  Tasks the
-    target leaves unmentioned stay where they are — queued tasks stay
-    queued, assigned tasks stay put — exactly as the pre-protocol apply
-    paths behaved.
+    This is the one interpretation of the legacy §3 contract, and the
+    only code that turns a target into actions: launches of the target
+    instances the snapshot lacks (in target order), then an assign or a
+    migration for every targeted task that is not already where the
+    target puts it (ascending task id), then terminations of the
+    snapshot instances the target drops (ascending instance id).  Tasks
+    the target leaves unmentioned stay where they are — queued tasks
+    stay queued, assigned tasks stay put — exactly as the pre-protocol
+    apply paths behaved.  A task the target assigns to two instances
+    raises ``ValueError``.
     """
-    diff = diff_configuration(snapshot, target)
-    actions: list[Action] = []
-    for ti in diff.launches:
-        actions.append(LaunchInstance(instance=ti.instance))
-    for task_id, src, dst in diff.migrations:
+    live: set[str] = set()
+    placed_on: dict[str, str] = {}
+    for state in snapshot.instances:
+        live.add(state.instance_id)
+        for tid in sorted(state.task_ids):
+            placed_on[tid] = state.instance_id
+    assignment = target.assignment()
+
+    actions: list[Action] = [
+        LaunchInstance(instance=ti.instance)
+        for ti in target.instances
+        if ti.instance_id not in live
+    ]
+    for task_id, dst in sorted(assignment.items()):
+        src = placed_on.get(task_id)
         if src is None:
             actions.append(AssignTask(task_id=task_id, instance_id=dst))
-        else:
+        elif src != dst:
             actions.append(
                 MigrateTask(task_id=task_id, src_instance_id=src, dst_instance_id=dst)
             )
-    for instance_id in diff.terminations:
-        actions.append(TerminateInstance(instance_id=instance_id))
+    kept = {ti.instance_id for ti in target.instances}
+    actions.extend(
+        TerminateInstance(instance_id=instance_id)
+        for instance_id in sorted(live - kept)
+    )
     return Decision(actions=tuple(actions), target=target)
 
 

@@ -372,11 +372,12 @@ class EvaScheduler(Scheduler):
 
         Their tasks become unassigned (re-placed by partial reconfig,
         repacked from scratch by full reconfig) and
-        ``match_existing_instances`` cannot keep a hidden id.  Since
-        :meth:`decide` diffs the chosen target against the *original*
-        snapshot, the planned decision migrates the tasks off and
-        terminates the instance: the drain emerges from the ordinary
-        packing path.
+        ``match_existing_instances`` cannot keep a hidden id.  Equation 1
+        prices the candidates' plans against this snapshot, and
+        :meth:`decide` then re-plans the chosen target against the
+        *original* snapshot, so the executed decision migrates the tasks
+        off and terminates the instance: the drain emerges from the
+        ordinary packing path.
         """
         hidden = self._hidden
         if not hidden:
@@ -394,25 +395,24 @@ class EvaScheduler(Scheduler):
 
     def _schedule_core(
         self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
-    ) -> TargetConfiguration:
-        full_cfg = (
+    ) -> Decision:
+        """The chosen candidate's plan against ``snapshot``."""
+        full = (
             self._full_candidate(snapshot, evaluator)
             if self.config.enable_full
             else None
         )
-        partial_cfg = (
+        partial = (
             self._partial_candidate(snapshot, evaluator)
             if self.config.enable_partial
             else None
         )
 
-        if full_cfg is not None and partial_cfg is not None:
-            chosen, decision = self.policy.decide(
-                full_cfg, partial_cfg, snapshot, evaluator
-            )
+        if full is not None and partial is not None:
+            chosen, decision = self.policy.decide(full, partial, snapshot, evaluator)
             self.last_decision = decision
             return chosen
-        chosen = full_cfg if full_cfg is not None else partial_cfg
+        chosen = full if full is not None else partial
         assert chosen is not None
         self.last_decision = None
         return chosen
@@ -502,8 +502,12 @@ class EvaScheduler(Scheduler):
             if replayed is not None:
                 return replayed
 
-        target = self._schedule_core(packing_snapshot, evaluator)
-        decision = diff_target(snapshot, target)
+        decision = self._schedule_core(packing_snapshot, evaluator)
+        if packing_snapshot is not snapshot:
+            # A hidden instance's drain and termination show only against
+            # the full snapshot.
+            assert decision.target is not None
+            decision = diff_target(snapshot, decision.target)
         if key is not None and not decision.actions:
             if len(memo) >= _ROUND_MEMO_CAP:
                 memo.clear()
@@ -539,7 +543,7 @@ class EvaScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _full_candidate(
         self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
-    ) -> TargetConfiguration:
+    ) -> Decision:
         packed = full_reconfiguration(
             list(snapshot.tasks.values()),
             self.catalog,
@@ -551,11 +555,11 @@ class EvaScheduler(Scheduler):
             packed,
             [(st.instance, frozenset(st.task_ids)) for st in snapshot.instances],
         )
-        return _to_target(packed)
+        return diff_target(snapshot, _to_target(packed))
 
     def _partial_candidate(
         self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
-    ) -> TargetConfiguration:
+    ) -> Decision:
         current = [
             # Sorted: greedy repacking must not depend on hash-randomized
             # frozenset order, or results change per process.
@@ -570,7 +574,7 @@ class EvaScheduler(Scheduler):
             cost_margin=self.config.efficiency_margin,
             memo=self._pack_memo,
         )
-        return _to_target(result.configuration)
+        return diff_target(snapshot, _to_target(result.configuration))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.delays import DelayModel
-from repro.cluster.instance import fresh_instance
+from repro.cluster.instance import InstanceType, fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import (
     ClusterSnapshot,
     InstanceState,
     TargetConfiguration,
 )
-from repro.cluster.task import Job, make_job
+from repro.cluster.task import Job, MigrationDelays, make_job
 from repro.core.ensemble import (
     PRIOR_RATE_PER_HOUR,
     EnsemblePolicy,
@@ -23,6 +25,7 @@ from repro.core.ensemble import (
     provisioning_saving,
 )
 from repro.core.evaluation import RPEvaluator
+from repro.core.protocol import diff_target, replay_decision
 from repro.core.reservation_price import ReservationPriceCalculator
 
 
@@ -145,17 +148,20 @@ class TestCosts:
     def test_migration_cost_components(self, example_catalog):
         calc = ReservationPriceCalculator(example_catalog)
         snapshot, full, partial = _snapshot_and_targets(example_catalog, calc)
-        m_full = migration_cost(full, snapshot, DelayModel())
-        m_partial = migration_cost(partial, snapshot, DelayModel())
+        m_full = migration_cost(diff_target(snapshot, full), snapshot, DelayModel())
+        m_partial = migration_cost(
+            diff_target(snapshot, partial), snapshot, DelayModel()
+        )
         # Full migrates the running task and launches a pricier instance.
         assert m_full > m_partial > 0
 
     def test_migration_cost_scales_with_multiplier(self, example_catalog):
         calc = ReservationPriceCalculator(example_catalog)
         snapshot, full, _ = _snapshot_and_targets(example_catalog, calc)
-        base = migration_cost(full, snapshot, DelayModel())
+        plan = diff_target(snapshot, full)
+        base = migration_cost(plan, snapshot, DelayModel())
         doubled = migration_cost(
-            full, snapshot, DelayModel(migration_multiplier=2.0)
+            plan, snapshot, DelayModel(migration_multiplier=2.0)
         )
         assert doubled > base
 
@@ -164,11 +170,12 @@ class TestCosts:
     ):
         calc = ReservationPriceCalculator(example_catalog)
         snapshot, full, _ = _snapshot_and_targets(example_catalog, calc)
+        plan = diff_target(snapshot, full)
         stochastic = DelayModel(stochastic=True, rng=np.random.default_rng(3))
         state = stochastic.rng.bit_generator.state
-        cost = migration_cost(full, snapshot, stochastic)
+        cost = migration_cost(plan, snapshot, stochastic)
         assert stochastic.rng.bit_generator.state == state
-        assert cost == migration_cost(full, snapshot, DelayModel())
+        assert cost == migration_cost(plan, snapshot, DelayModel())
 
     def test_no_op_target_costs_nothing(self, example_catalog):
         calc = ReservationPriceCalculator(example_catalog)
@@ -179,7 +186,8 @@ class TestCosts:
                 for s in snapshot.instances
             ]
         )
-        assert migration_cost(keep, snapshot, DelayModel()) == pytest.approx(0.0)
+        plan = diff_target(snapshot, keep)
+        assert migration_cost(plan, snapshot, DelayModel()) == pytest.approx(0.0)
 
 
 class TestPolicy:
@@ -189,9 +197,11 @@ class TestPolicy:
         snapshot, full, partial = _snapshot_and_targets(example_catalog, calc)
         policy = EnsemblePolicy()
         policy.record_events(4, 0.0)
-        chosen, decision = policy.decide(full, partial, snapshot, ev)
+        chosen, decision = policy.decide(
+            diff_target(snapshot, full), diff_target(snapshot, partial), snapshot, ev
+        )
         assert not decision.adopted_full
-        assert chosen is partial
+        assert chosen.target is partial
         d_hat = decision.duration_estimate_hours
         assert (
             decision.saving_partial * d_hat - decision.migration_partial
@@ -239,17 +249,20 @@ class TestPolicy:
         )
         policy = EnsemblePolicy()
         policy.record_events(2, 0.0)
-        chosen, decision = policy.decide(full, partial, snapshot, ev)
+        chosen, decision = policy.decide(
+            diff_target(snapshot, full), diff_target(snapshot, partial), snapshot, ev
+        )
         assert decision.adopted_full
-        assert chosen is full
+        assert chosen.target is full
 
     def test_adoption_fraction_tracking(self, example_catalog):
         calc = ReservationPriceCalculator(example_catalog)
         ev = RPEvaluator(calc)
         snapshot, full, partial = _snapshot_and_targets(example_catalog, calc)
         policy = EnsemblePolicy()
+        plans = diff_target(snapshot, full), diff_target(snapshot, partial)
         for _ in range(4):
-            policy.decide(full, partial, snapshot, ev)
+            policy.decide(*plans, snapshot, ev)
         assert policy.full_adoption_fraction() == pytest.approx(0.0)
         assert policy.decisions == 4
 
@@ -304,5 +317,110 @@ class TestPolicy:
         )
         slow = EnsemblePolicy(delay_model=DelayModel(migration_multiplier=100.0))
         slow.record_events(2, 0.0)
-        _, decision = slow.decide(full, partial, snapshot, ev)
+        _, decision = slow.decide(
+            diff_target(snapshot, full), diff_target(snapshot, partial), snapshot, ev
+        )
         assert not decision.adopted_full
+
+
+#: Roomy types at several rates, so any target fits and rates differ.
+_PRICED_TYPES = [
+    InstanceType(f"t{i}", "f", ResourceVector(64, 512, 4096), cost)
+    for i, cost in enumerate((0.4, 1.5, 3.0, 12.0))
+]
+
+
+def _diff_priced(target, snapshot, delays):
+    """M priced from a configuration diff, as before Equation 1 priced
+    plans: placed/migrated tasks in ascending task id, then the launches
+    in target order."""
+    current, live, rate_by_id = {}, set(), {}
+    for state in snapshot.instances:
+        live.add(state.instance_id)
+        rate_by_id[state.instance_id] = state.instance_type.hourly_cost
+        for tid in sorted(state.task_ids):
+            current[tid] = state.instance_id
+    for ti in target.instances:
+        rate_by_id.setdefault(ti.instance_id, ti.hourly_cost)
+    cost = 0.0
+    for task_id, dst in sorted(target.assignment().items()):
+        src = current.get(task_id)
+        if src == dst:
+            continue
+        task = snapshot.tasks[task_id]
+        mult = delays.migration_multiplier
+        checkpoint_h = task.migration.checkpoint_s * mult / 3600.0
+        launch_h = task.migration.launch_s * mult / 3600.0
+        if src is not None:
+            cost += checkpoint_h * rate_by_id.get(src, 0.0)
+        cost += launch_h * rate_by_id.get(dst, 0.0)
+    ready_h = delays.mean_instance_ready_s() / 3600.0
+    for ti in target.instances:
+        if ti.instance_id not in live:
+            cost += ready_h * ti.hourly_cost
+    return cost
+
+
+@st.composite
+def _snapshot_and_target(draw):
+    """Kept, launched and dropped instances; placed, migrated, unchanged,
+    queued and unmentioned tasks."""
+    live = [
+        fresh_instance(draw(st.sampled_from(_PRICED_TYPES)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    launched = [
+        fresh_instance(draw(st.sampled_from(_PRICED_TYPES)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    kept = [inst for inst in live if draw(st.booleans())]
+    targeted = draw(st.permutations(kept + launched))
+    delay_values = st.sampled_from([0.0, 8.0, 31.5, 47.0, 120.25])
+    tasks, now, then = {}, {}, {}
+    for i in range(draw(st.integers(1, 8))):
+        (task,) = make_job(
+            "w",
+            {"*": ResourceVector(0, 1, 1)},
+            1.0,
+            migration=MigrationDelays(draw(delay_values), draw(delay_values)),
+            job_id=f"j{i}",
+        ).tasks
+        tasks[task.task_id] = task
+        now[task.task_id] = draw(st.sampled_from([None, *live]))
+        then[task.task_id] = draw(st.sampled_from([None, *targeted]))
+
+    def hosted(instance, placement):
+        return frozenset(tid for tid, inst in placement.items() if inst is instance)
+
+    snapshot = ClusterSnapshot(
+        time_s=0.0,
+        tasks=tasks,
+        jobs={},
+        instances=[InstanceState(inst, hosted(inst, now)) for inst in live],
+    )
+    target = TargetConfiguration.from_pairs(
+        (inst, hosted(inst, then)) for inst in targeted
+    )
+    return snapshot, target
+
+
+class TestPlanPricing:
+    """Equation 1 prices the plan the round executes, bit for bit as it
+    priced the configuration diff."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=_snapshot_and_target(),
+        multiplier=st.sampled_from([1.0, 0.5, 2.0, 3.7]),
+    )
+    def test_plan_price_keeps_its_bits(self, pair, multiplier):
+        snapshot, target = pair
+        delays = DelayModel(migration_multiplier=multiplier)
+        plan = diff_target(snapshot, target)
+        assert migration_cost(plan, snapshot, delays) == _diff_priced(
+            target, snapshot, delays
+        )
+        if snapshot.assigned_task_ids() <= target.assignment().keys():
+            assert replay_decision(snapshot, plan) == {
+                ti.instance_id: ti.task_ids for ti in target.instances
+            }

@@ -826,24 +826,16 @@ class TestCeilingSkip:
         for skip in (True, False):
             with pytest.MonkeyPatch.context() as mp:
                 attempts = [] if skip else never_skip(mp)
-                try:
-                    outcomes.append(
-                        _layout(
-                            full_reconfiguration(
-                                tasks,
-                                catalog,
-                                make_evaluator(),
-                                cost_margin=cost_margin,
-                            )
+                outcomes.append(
+                    _layout(
+                        full_reconfiguration(
+                            tasks,
+                            catalog,
+                            make_evaluator(),
+                            cost_margin=cost_margin,
                         )
                     )
-                except RuntimeError as exc:
-                    # A multi-task job slower than speed 1 on every family
-                    # is worth less than its efficiency type costs, so the
-                    # heterogeneous evaluator leaves it unplaced; the same
-                    # tasks must be left over either way.
-                    assert kind == "heterogeneous"
-                    outcomes.append(str(exc))
+                )
             for value, ceiling in attempts:
                 assert value <= ceiling + 1e-9
         assert outcomes[0] == outcomes[1]
@@ -922,27 +914,31 @@ class TestValueCap:
             jobs={job.job_id: job},
         ).for_family(family)
 
-    def test_speed_above_one_lifts_a_multi_task_cap_past_rp_times_speed(self):
+    def test_fast_family_cap_is_speed_times_rp_for_a_multi_task_job(self):
         catalog = ec2_catalog()
         job = make_job("W", {"*": ResourceVector(0, 4, 8)}, 1.0, num_tasks=3)
         ev = self._bound(catalog, {"W": {"c7i": 2.0}}, "c7i", job)
         task = job.tasks[0]
         rp_het = ev.task_rp(task)
         assert rp_het == pytest.approx(0.1785 / 2)
-        # rp + (s - 1) * RP(j) with RP(j) = 3 rp: 4 rp, not rp * s.
-        assert ev.value_cap(task) == pytest.approx(4 * rp_het)
-        assert ev.value_cap(task) > 2.0 * rp_het
+        # speed * (rp - (1 - 1) * RP(j)): the degradation charge vanishes
+        # at throughput 1, whatever the job's arity.
+        assert ev.value_cap(task) == 2.0 * rp_het
         assert ev.value_cap(task) == ev.set_value([task])
+        # Below throughput 1 the charge is on the job's RP, then scaled.
+        assert ev.tnrp_from_tput(task, 0.5) == pytest.approx(
+            2.0 * (rp_het - 0.5 * 3 * rp_het)
+        )
 
-    def test_slow_family_cap_is_negative_and_the_ceiling_clamps_it(self):
+    def test_slow_family_cap_stays_positive_and_bounds_the_ceiling(self):
         catalog = ec2_catalog()
         job = make_job("W", {"*": ResourceVector(0, 4, 8)}, 1.0, num_tasks=3)
         ev = self._bound(catalog, {"W": {"r7i": 0.25}}, "r7i", job)
         task = job.tasks[0]
-        # rp - (1 - 0.25) * 3 rp
-        assert ev.value_cap(task) == pytest.approx(-1.25 * ev.task_rp(task))
-        # One task fills r7i.xlarge's CPUs, so the guard allows a bound.
+        assert ev.value_cap(task) == 0.25 * ev.task_rp(task) > 0.0
+        # One task fills r7i.xlarge's CPUs, so the guard allows a bound:
+        # the three tasks' caps.
         r7i_xlarge = next(it for it in catalog if it.name == "r7i.xlarge")
         pool = _TaskPool(job.tasks, ev, True)
         rows = pool.group_rows(r7i_xlarge, ev)
-        assert pool.value_ceiling(r7i_xlarge, rows) == 0.0
+        assert pool.value_ceiling(r7i_xlarge, rows) == 3 * ev.value_cap(task)

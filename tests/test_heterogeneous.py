@@ -1,5 +1,7 @@
 """Tests for the §4.2 heterogeneous-resources RP extension."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,11 @@ class TestSpeedProfile:
         assert profile.speed("W", "c7i") == 2.0
         assert profile.speed("W", "r7i") == 1.0
         assert profile.speed("other", "c7i") == 1.0
+
+    @pytest.mark.parametrize("speed", [-0.5, math.inf, math.nan])
+    def test_bad_speed_rejected_naming_workload_and_family(self, speed):
+        with pytest.raises(ValueError, match="'W' on family 'r7i'"):
+            FamilySpeedProfile(speeds={"W": {"c7i": 2.0, "r7i": speed}})
 
 
 class TestHeterogeneousRP:
@@ -178,3 +185,69 @@ class TestHeterogeneousPacking:
         tasks = microbench_task_pool(n, seed=seed)
         packed = full_reconfiguration(tasks, catalog, self._evaluator(catalog))
         assert sum(len(p.tasks) for p in packed) == n
+
+
+_FAMILIES = ("c7i", "r7i", "p3")
+
+
+class TestPlaceability:
+    """A task alone on its efficiency type is worth that type's cost, so
+    Algorithm 1 places every task, multi-task jobs on slow families
+    included."""
+
+    @staticmethod
+    def _pack(catalog, jobs, speeds):
+        ev = HeterogeneousEvaluator(
+            calculator=HeterogeneousRPCalculator(catalog, FamilySpeedProfile(speeds)),
+            table=CoLocationThroughputTable(),
+            jobs={job.job_id: job for job in jobs},
+        )
+        tasks = [t for job in jobs for t in job.tasks]
+        packed = full_reconfiguration(tasks, catalog, ev)
+        assert sorted(t.task_id for p in packed for t in p.tasks) == sorted(
+            t.task_id for t in tasks
+        )
+        return packed
+
+    def test_multi_task_job_on_a_slow_efficiency_family_packs(self, catalog):
+        # RP_het is 0.1191 on c7i.large (speed 0.75); charging the §4.4
+        # degradation on speed · tput left each task worth half that.
+        job = make_job(
+            "W", {"*": ResourceVector(0, 2, 4)}, 1.0, num_tasks=2, job_id="probe"
+        )
+        packed = self._pack(catalog, [job], {"W": {"c7i": 0.75}})
+        assert [p.instance_type.name for p in packed] == ["c7i.large", "c7i.large"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.sampled_from(["W", "X", "Y"]),
+                st.sampled_from(
+                    [
+                        ResourceVector(0, 2, 4),
+                        ResourceVector(0, 4, 8),
+                        ResourceVector(0, 8, 30),
+                        ResourceVector(1, 4, 16),
+                    ]
+                ),
+                st.sampled_from([1, 2, 4]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        speeds=st.dictionaries(
+            st.tuples(st.sampled_from(["W", "X", "Y"]), st.sampled_from(_FAMILIES)),
+            st.floats(min_value=0.25, max_value=3.0),
+            max_size=9,
+        ),
+    )
+    def test_every_task_packs(self, jobs, speeds):
+        profile = {}
+        for (workload, family), speed in speeds.items():
+            profile.setdefault(workload, {})[family] = speed
+        made = [
+            make_job(w, {"*": demand}, 1.0, num_tasks=arity, job_id=f"j{i}")
+            for i, (w, demand, arity) in enumerate(jobs)
+        ]
+        self._pack(ec2_catalog(), made, profile)

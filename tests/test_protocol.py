@@ -111,6 +111,47 @@ class TestDiffTarget:
         assert terminate.instance_id == old.instance_id
         assert decision.target is target
 
+    def test_keeps_launches_drops_and_moves(self, catalog):
+        demand = {"*": ResourceVector(0, 4, 10)}
+        jobs = [make_job("resnet50", demand, 1.0, job_id=f"job-{c}") for c in "abc"]
+        snapshot = _snapshot_with(
+            catalog,
+            jobs,
+            [("c7i.4xlarge", ["job-a/t0"]), ("c7i.4xlarge", ["job-b/t0"])],
+        )
+        kept, dropped = (state.instance for state in snapshot.instances)
+        added = fresh_instance(_type_named(catalog, "c7i.4xlarge"))
+        target = TargetConfiguration.from_pairs(
+            [(kept, ["job-a/t0", "job-b/t0"]), (added, ["job-c/t0"])]
+        )
+        # job-a/t0 stays put, job-b/t0 moves off the dropped instance and
+        # job-c/t0 is placed on the launched one.
+        assert diff_target(snapshot, target).actions == (
+            LaunchInstance(added),
+            MigrateTask("job-b/t0", dropped.instance_id, kept.instance_id),
+            AssignTask("job-c/t0", added.instance_id),
+            TerminateInstance(dropped.instance_id),
+        )
+
+    def test_unchanged_target_plans_nothing(self, catalog, two_jobs):
+        snapshot = _snapshot_with(
+            catalog, two_jobs, [("c7i.4xlarge", ["job-a/t0"])]
+        )
+        keep = snapshot.instances[0].instance
+        target = TargetConfiguration.from_pairs([(keep, ["job-a/t0"])])
+        assert diff_target(snapshot, target).actions == ()
+
+    def test_task_on_two_instances_rejected(self, catalog, two_jobs):
+        snapshot = _snapshot_with(catalog, two_jobs, [])
+        a, b = (
+            fresh_instance(_type_named(catalog, "c7i.4xlarge")) for _ in range(2)
+        )
+        target = TargetConfiguration.from_pairs(
+            [(a, ["job-a/t0"]), (b, ["job-a/t0"])]
+        )
+        with pytest.raises(ValueError, match="assigned to two instances"):
+            diff_target(snapshot, target)
+
     def test_unmentioned_assigned_tasks_stay_put(self, catalog, two_jobs):
         snapshot = _snapshot_with(
             catalog,

@@ -6,9 +6,22 @@ from repro.cluster.instance import fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import ClusterSnapshot, InstanceState
 from repro.cluster.task import make_job
+from repro.core import scheduler as eva_scheduler
+from repro.core.ensemble import migration_cost
 from repro.core.interfaces import JobThroughputReport
-from repro.core.protocol import JobArrived, JobFinished
-from repro.core.scheduler import EvaConfig, EvaScheduler, make_eva_variant
+from repro.core.protocol import (
+    JobArrived,
+    JobFinished,
+    MigrateTask,
+    SpotEvictionNotice,
+    TerminateInstance,
+)
+from repro.core.scheduler import (
+    EvaConfig,
+    EvaScheduler,
+    EvictionNotices,
+    make_eva_variant,
+)
 from repro.core.throughput_table import TaskPlacementObservation
 
 
@@ -106,6 +119,77 @@ class TestScheduling:
         scheduler.schedule(_snapshot([job]))
         assert scheduler.last_decision is not None
         assert 0.0 <= scheduler.full_adoption_fraction() <= 1.0
+
+
+class TestPlannedRound:
+    """A round executes the plan Equation 1 priced."""
+
+    @staticmethod
+    def _spy(monkeypatch, scheduler):
+        """Record each ``diff_target`` call the scheduler makes, as
+        ``(snapshot, plan)``, and each weighing as ``(full, partial,
+        snapshot, chosen)``."""
+        planned, weighed = [], []
+        plan, weigh = eva_scheduler.diff_target, scheduler.policy.decide
+
+        def recorded_plan(snapshot, target):
+            decision = plan(snapshot, target)
+            planned.append((snapshot, decision))
+            return decision
+
+        def recorded_weigh(full, partial, snapshot, evaluator):
+            chosen, record = weigh(full, partial, snapshot, evaluator)
+            weighed.append((full, partial, snapshot, chosen))
+            return chosen, record
+
+        monkeypatch.setattr(eva_scheduler, "diff_target", recorded_plan)
+        monkeypatch.setattr(scheduler.policy, "decide", recorded_weigh)
+        return planned, weighed
+
+    def test_returns_the_plan_equation_1_weighed(self, example_catalog, monkeypatch):
+        scheduler = EvaScheduler(example_catalog)
+        planned, weighed = self._spy(monkeypatch, scheduler)
+        jobs = [_job("w1", (2, 8, 24), "j1"), _job("w2", (1, 4, 10), "j2")]
+        snapshot = _snapshot(jobs)
+        decision = scheduler.decide(snapshot)
+        ((full, partial, priced_on, chosen),) = weighed
+        assert priced_on is snapshot
+        assert decision is chosen
+        assert decision.actions
+        # One plan per candidate, and no third.
+        assert len(planned) == 2
+        assert all(s is snapshot for s, _ in planned)
+        assert planned[0][1] is full and planned[1][1] is partial
+
+    def test_hidden_instance_is_drained_against_the_full_snapshot(
+        self, catalog, monkeypatch
+    ):
+        scheduler = EvaScheduler(catalog, signals=[EvictionNotices()])
+        planned, weighed = self._spy(monkeypatch, scheduler)
+        jobs = [_job("resnet50", (0, 4, 10), "a"), _job("a3c", (0, 4, 10), "b")]
+        doomed = fresh_instance(next(t for t in catalog if t.name == "c7i.4xlarge"))
+        snapshot = _snapshot(jobs, {doomed: ["a/t0", "b/t0"]})
+        notice = SpotEvictionNotice(doomed.instance_id, 500.0)
+        decision = scheduler.decide(snapshot, (notice,))
+
+        ((full, partial, packing, chosen),) = weighed
+        assert packing is not snapshot and not packing.instances
+        assert len(planned) == 3
+        assert planned[2][0] is snapshot and planned[2][1] is decision
+        assert decision is not chosen and decision.target is chosen.target
+        moves = [a for a in decision.actions if isinstance(a, MigrateTask)]
+        assert [m.task_id for m in moves] == ["a/t0", "b/t0"]
+        assert {m.src_instance_id for m in moves} == {doomed.instance_id}
+        assert decision.actions[-1] == TerminateInstance(doomed.instance_id)
+        # Equation 1 priced the plans against the packing snapshot, where
+        # the drained tasks are placements, not checkpointed migrations.
+        record = scheduler.last_decision
+        delays = scheduler.delay_model
+        assert record.migration_full == migration_cost(full, packing, delays)
+        assert record.migration_partial == migration_cost(partial, packing, delays)
+        assert migration_cost(decision, snapshot, delays) > migration_cost(
+            chosen, packing, delays
+        )
 
 
 class TestThroughputIntegration:

@@ -1,4 +1,4 @@
-"""Unit tests for cluster snapshots, targets, and configuration diffs."""
+"""Unit tests for cluster snapshots and target configurations."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.cluster.state import (
     ClusterSnapshot,
     InstanceState,
     TargetConfiguration,
-    diff_configuration,
     tasks_fit_on_type,
 )
 from repro.cluster.task import make_job
@@ -126,39 +125,3 @@ class TestTargetConfiguration:
         with pytest.raises(ValueError):
             target.validate(snap)
 
-
-class TestDiff:
-    def test_full_diff(self):
-        tasks = _mk_tasks(3)
-        kept = fresh_instance(IT)
-        dropped = fresh_instance(IT)
-        added = fresh_instance(IT)
-        snap = _snapshot(
-            tasks,
-            {kept: [tasks[0].task_id], dropped: [tasks[1].task_id]},
-        )
-        target = TargetConfiguration.from_pairs(
-            [
-                (kept, [tasks[0].task_id, tasks[1].task_id]),
-                (added, [tasks[2].task_id]),
-            ]
-        )
-        diff = diff_configuration(snap, target)
-        assert [ti.instance_id for ti in diff.launches] == [added.instance_id]
-        assert diff.terminations == (dropped.instance_id,)
-        sources = {tid: src for tid, src, _ in diff.migrations}
-        # Task 1 moved dropped -> kept; task 2 placed fresh.
-        assert sources == {
-            tasks[1].task_id: dropped.instance_id,
-            tasks[2].task_id: None,
-        }
-        assert tasks[0].task_id in diff.unchanged_tasks
-
-    def test_empty_diff(self):
-        tasks = _mk_tasks(1)
-        inst = fresh_instance(IT)
-        snap = _snapshot(tasks, {inst: [tasks[0].task_id]})
-        target = TargetConfiguration.from_pairs([(inst, [tasks[0].task_id])])
-        diff = diff_configuration(snap, target)
-        assert not diff.launches and not diff.terminations
-        assert diff.migrations == ()
