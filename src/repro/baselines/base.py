@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.cluster.instance import Instance, InstanceType, fresh_instance
 from repro.cluster.resources import ResourceVector
@@ -68,13 +68,6 @@ def open_instances_of(snapshot: ClusterSnapshot) -> list[OpenInstance]:
         )
         for state in snapshot.instances
     ]
-
-
-def target_of(open_instances: Iterable[OpenInstance]) -> TargetConfiguration:
-    """The target that places each bin's tasks on its instance."""
-    return TargetConfiguration.from_pairs(
-        (oi.instance, (t.task_id for t in oi.tasks)) for oi in open_instances
-    )
 
 
 class ReactiveScheduler(Scheduler):
@@ -130,7 +123,7 @@ class ReactiveScheduler(Scheduler):
             else:
                 opened = OpenInstance(instance=fresh_instance(choice), tasks=[task])
                 open_instances.append(opened)
-        return target_of(open_instances)
+        return TargetConfiguration.from_bins(open_instances)
 
     # -- helpers -------------------------------------------------------------
     def cheapest_type_for(self, task: Task) -> InstanceType:

@@ -25,7 +25,7 @@ from repro.core.protocol import (
 )
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.interference.model import InterferenceModel
-from repro.baselines.base import OpenInstance, open_instances_of, target_of
+from repro.baselines.base import OpenInstance, open_instances_of
 
 #: Pairs whose min pairwise throughput falls below this are "high
 #: interference" and never co-located by Owl.
@@ -163,4 +163,4 @@ class OwlScheduler(Scheduler):
             )
             placed.add(task.task_id)
 
-        return target_of(open_instances)
+        return TargetConfiguration.from_bins(open_instances)

@@ -29,7 +29,7 @@ from repro.cluster.task import Task
 from repro.core.interfaces import Scheduler
 from repro.core.protocol import AssignTask, LaunchInstance
 from repro.core.reservation_price import ReservationPriceCalculator
-from repro.baselines.base import OpenInstance, open_instances_of, target_of
+from repro.baselines.base import OpenInstance, open_instances_of
 
 #: Smallest runtime bin edge, hours.  Bins are [base·2^k, base·2^{k+1}).
 _BIN_BASE_HOURS = 0.25
@@ -104,7 +104,7 @@ class StratusScheduler(Scheduler):
             )
             self._scale_out(pending, open_instances)
 
-        return target_of(open_instances)
+        return TargetConfiguration.from_bins(open_instances)
 
     def _pack_into_existing(
         self,

@@ -16,7 +16,7 @@ snapshot to a target: launch/terminate instances and start/migrate tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from repro.cluster.instance import Instance, InstanceType
 from repro.cluster.resources import ResourceVector
@@ -84,14 +84,25 @@ class ClusterSnapshot:
         return [t for tid, t in self.tasks.items() if tid not in assigned]
 
 
+class Bin(Protocol):
+    """An instance with the tasks a packing put on it."""
+
+    @property
+    def instance(self) -> Instance: ...
+
+    @property
+    def tasks(self) -> Iterable[Task]: ...
+
+
 @dataclass(frozen=True)
 class TargetConfiguration:
     """A scheduler's decision for the next period.
 
     Instances absent from the target (relative to the snapshot) are
     terminated; tasks mapped to a different instance than in the snapshot
-    are migrated.  Tasks absent from the target stay where they are:
-    queued tasks stay queued, assigned tasks stay put.
+    are migrated.  A queued task absent from the target stays queued; an
+    assigned one stays put only if the target keeps its instance, since
+    terminating an instance that still holds tasks is an invalid plan.
     """
 
     instances: tuple[InstanceState, ...] = field(default=())
@@ -105,6 +116,13 @@ class TargetConfiguration:
                 InstanceState(instance=inst, task_ids=frozenset(tids))
                 for inst, tids in pairs
             )
+        )
+
+    @classmethod
+    def from_bins(cls, bins: Iterable[Bin]) -> "TargetConfiguration":
+        """The target that places each bin's tasks on its instance."""
+        return cls.from_pairs(
+            (b.instance, (t.task_id for t in b.tasks)) for b in bins
         )
 
     def hourly_cost(self) -> float:

@@ -349,8 +349,10 @@ def diff_target(snapshot: ClusterSnapshot, target: TargetConfiguration) -> Decis
     snapshot instances the target drops (ascending instance id).  Tasks
     the target leaves unmentioned stay where they are — queued tasks
     stay queued, assigned tasks stay put — exactly as the pre-protocol
-    apply paths behaved.  A task the target assigns to two instances
-    raises ``ValueError``.
+    apply paths behaved; so a target that drops an instance but leaves
+    out its tasks plans a termination that strands them, which
+    :func:`replay_decision` and the simulator reject.  A task the
+    target assigns to two instances raises ``ValueError``.
     """
     live: set[str] = set()
     placed_on: dict[str, str] = {}

@@ -43,7 +43,6 @@ from repro.core.evaluation import (
     TNRPEvaluator,
 )
 from repro.core.full_reconfig import (
-    PackedInstance,
     PackMemo,
     full_reconfiguration,
     match_existing_instances,
@@ -99,12 +98,6 @@ class EvaConfig:
                 "efficiency_margin must be finite and >= 0, "
                 f"got {self.efficiency_margin!r}"
             )
-
-
-def _to_target(packed: Sequence[PackedInstance]) -> TargetConfiguration:
-    return TargetConfiguration.from_pairs(
-        (p.instance, (t.task_id for t in p.tasks)) for p in packed
-    )
 
 
 #: Cap on retained round-memo entries; cleared wholesale like PackMemo so
@@ -372,12 +365,10 @@ class EvaScheduler(Scheduler):
 
         Their tasks become unassigned (re-placed by partial reconfig,
         repacked from scratch by full reconfig) and
-        ``match_existing_instances`` cannot keep a hidden id.  Equation 1
-        prices the candidates' plans against this snapshot, and
-        :meth:`decide` then re-plans the chosen target against the
-        *original* snapshot, so the executed decision migrates the tasks
-        off and terminates the instance: the drain emerges from the
-        ordinary packing path.
+        ``match_existing_instances`` cannot keep a hidden id.  The
+        candidates are planned against the *original* snapshot, so each
+        plan migrates the tasks off and terminates the instance: the
+        drain emerges from the ordinary packing path.
         """
         hidden = self._hidden
         if not hidden:
@@ -394,16 +385,20 @@ class EvaScheduler(Scheduler):
         )
 
     def _schedule_core(
-        self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
+        self,
+        snapshot: ClusterSnapshot,
+        packing_snapshot: ClusterSnapshot,
+        evaluator: AssignmentEvaluator,
     ) -> Decision:
-        """The chosen candidate's plan against ``snapshot``."""
+        """The chosen candidate's plan against ``snapshot``, packed
+        against ``packing_snapshot``."""
         full = (
-            self._full_candidate(snapshot, evaluator)
+            self._full_candidate(snapshot, packing_snapshot, evaluator)
             if self.config.enable_full
             else None
         )
         partial = (
-            self._partial_candidate(snapshot, evaluator)
+            self._partial_candidate(snapshot, packing_snapshot, evaluator)
             if self.config.enable_partial
             else None
         )
@@ -502,12 +497,7 @@ class EvaScheduler(Scheduler):
             if replayed is not None:
                 return replayed
 
-        decision = self._schedule_core(packing_snapshot, evaluator)
-        if packing_snapshot is not snapshot:
-            # A hidden instance's drain and termination show only against
-            # the full snapshot.
-            assert decision.target is not None
-            decision = diff_target(snapshot, decision.target)
+        decision = self._schedule_core(snapshot, packing_snapshot, evaluator)
         if key is not None and not decision.actions:
             if len(memo) >= _ROUND_MEMO_CAP:
                 memo.clear()
@@ -542,7 +532,10 @@ class EvaScheduler(Scheduler):
     # Candidates
     # ------------------------------------------------------------------
     def _full_candidate(
-        self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
+        self,
+        snapshot: ClusterSnapshot,
+        packing_snapshot: ClusterSnapshot,
+        evaluator: AssignmentEvaluator,
     ) -> Decision:
         packed = full_reconfiguration(
             list(snapshot.tasks.values()),
@@ -553,28 +546,35 @@ class EvaScheduler(Scheduler):
         )
         packed = match_existing_instances(
             packed,
-            [(st.instance, frozenset(st.task_ids)) for st in snapshot.instances],
+            [
+                (st.instance, frozenset(st.task_ids))
+                for st in packing_snapshot.instances
+            ],
         )
-        return diff_target(snapshot, _to_target(packed))
+        return diff_target(snapshot, TargetConfiguration.from_bins(packed))
 
     def _partial_candidate(
-        self, snapshot: ClusterSnapshot, evaluator: AssignmentEvaluator
+        self,
+        snapshot: ClusterSnapshot,
+        packing_snapshot: ClusterSnapshot,
+        evaluator: AssignmentEvaluator,
     ) -> Decision:
         current = [
             # Sorted: greedy repacking must not depend on hash-randomized
             # frozenset order, or results change per process.
             (st.instance, [snapshot.tasks[tid] for tid in sorted(st.task_ids)])
-            for st in snapshot.instances
+            for st in packing_snapshot.instances
         ]
         result = partial_reconfiguration(
             current,
-            snapshot.unassigned_tasks(),
+            packing_snapshot.unassigned_tasks(),
             self.catalog,
             evaluator,
             cost_margin=self.config.efficiency_margin,
             memo=self._pack_memo,
         )
-        return diff_target(snapshot, _to_target(result.configuration))
+        target = TargetConfiguration.from_bins(result.configuration)
+        return diff_target(snapshot, target)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -25,7 +25,7 @@ from repro.core.ensemble import (
     provisioning_saving,
 )
 from repro.core.evaluation import RPEvaluator
-from repro.core.protocol import diff_target, replay_decision
+from repro.core.protocol import ProtocolError, diff_target, replay_decision
 from repro.core.reservation_price import ReservationPriceCalculator
 
 
@@ -420,7 +420,19 @@ class TestPlanPricing:
         assert migration_cost(plan, snapshot, delays) == _diff_priced(
             target, snapshot, delays
         )
-        if snapshot.assigned_task_ids() <= target.assignment().keys():
+        assignment = target.assignment()
+        kept = {ti.instance_id for ti in target.instances}
+        stranded = [
+            tid
+            for state in snapshot.instances
+            if state.instance_id not in kept
+            for tid in state.task_ids
+            if tid not in assignment
+        ]
+        if stranded:
+            with pytest.raises(ProtocolError, match="strand"):
+                replay_decision(snapshot, plan)
+        elif snapshot.assigned_task_ids() <= assignment.keys():
             assert replay_decision(snapshot, plan) == {
                 ti.instance_id: ti.task_ids for ti in target.instances
             }

@@ -161,7 +161,7 @@ class TestPlannedRound:
         assert all(s is snapshot for s, _ in planned)
         assert planned[0][1] is full and planned[1][1] is partial
 
-    def test_hidden_instance_is_drained_against_the_full_snapshot(
+    def test_hidden_instance_is_drained_by_the_plan_equation_1_weighed(
         self, catalog, monkeypatch
     ):
         scheduler = EvaScheduler(catalog, signals=[EvictionNotices()])
@@ -172,24 +172,19 @@ class TestPlannedRound:
         notice = SpotEvictionNotice(doomed.instance_id, 500.0)
         decision = scheduler.decide(snapshot, (notice,))
 
-        ((full, partial, packing, chosen),) = weighed
-        assert packing is not snapshot and not packing.instances
-        assert len(planned) == 3
-        assert planned[2][0] is snapshot and planned[2][1] is decision
-        assert decision is not chosen and decision.target is chosen.target
+        ((full, partial, priced_on, chosen),) = weighed
+        assert priced_on is snapshot and decision is chosen
+        assert len(planned) == 2 and all(s is snapshot for s, _ in planned)
         moves = [a for a in decision.actions if isinstance(a, MigrateTask)]
         assert [m.task_id for m in moves] == ["a/t0", "b/t0"]
         assert {m.src_instance_id for m in moves} == {doomed.instance_id}
         assert decision.actions[-1] == TerminateInstance(doomed.instance_id)
-        # Equation 1 priced the plans against the packing snapshot, where
-        # the drained tasks are placements, not checkpointed migrations.
+        # Both plans' M include checkpointing the drained tasks off the
+        # hidden instance.
         record = scheduler.last_decision
         delays = scheduler.delay_model
-        assert record.migration_full == migration_cost(full, packing, delays)
-        assert record.migration_partial == migration_cost(partial, packing, delays)
-        assert migration_cost(decision, snapshot, delays) > migration_cost(
-            chosen, packing, delays
-        )
+        assert record.migration_full == migration_cost(full, snapshot, delays)
+        assert record.migration_partial == migration_cost(partial, snapshot, delays)
 
 
 class TestThroughputIntegration:
