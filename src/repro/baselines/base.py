@@ -2,13 +2,22 @@
 
 All four baselines are *reactive*: they keep every existing assignment,
 place newly arrived (queued) tasks each round, and never migrate (the
-right-sizing adaptation in Synergy/Owl being the one exception).  The
-differences live entirely in :meth:`ReactiveScheduler.choose_placement`.
+right-sizing adaptation in Synergy/Owl being the one exception).  They
+share the round's bins (:class:`OpenInstance`, from
+:func:`open_instances_of`) but not one code path:
 
-Baselines speak the legacy snapshot→target contract; the default
-:meth:`~repro.core.interfaces.Scheduler.decide` routes them through the
-:func:`~repro.core.protocol.diff_target` shim.  Each concrete baseline
-declares its action vocabulary
+* Synergy places through :class:`ReactiveScheduler`, the
+  keep-everything skeleton, by overriding
+  :meth:`ReactiveScheduler.choose_placement`;
+* Stratus and Owl subclass :class:`~repro.core.interfaces.Scheduler`
+  and write their own ``schedule`` over the bins;
+* No-Packing needs no bins: its ``decide`` launches one instance per
+  queued task and emits the actions itself.
+
+Synergy, Stratus and Owl speak the legacy snapshot→target contract; the
+default :meth:`~repro.core.interfaces.Scheduler.decide` routes them
+through the :func:`~repro.core.protocol.diff_target` shim.  Each
+concrete baseline declares its action vocabulary
 (:attr:`~repro.core.interfaces.Scheduler.action_types`), which makes
 "never migrates" a machine-checked contract: environments in validate
 mode reject any decision that strays outside it.
@@ -101,8 +110,8 @@ class ReactiveScheduler(Scheduler):
         """Right-sizing hook: remove no-longer-worthwhile instances from
         ``open_instances`` and return their tasks for re-placement.
 
-        The default keeps everything (No-Packing and Stratus never
-        migrate); Synergy overrides this (see its module docstring).
+        The default keeps everything; Synergy overrides this (see its
+        module docstring).
         """
         return []
 

@@ -277,6 +277,24 @@ class _ArgmaxScan:
         self._ram = max(0.0, self._ram - demand.ram_gb)
         self._empty = False
 
+    def fits_any(self) -> bool:
+        """True if some pool task fits the remaining capacity, by the
+        test :meth:`best` applies: ``False`` means ``best`` finds none."""
+        rows = self._rows
+        max_gpus = self._gpus + _EPS
+        max_cpus = self._cpus + _EPS
+        max_ram = self._ram + _EPS
+        for group in self._pool._groups:
+            row = rows.get(group)
+            if (
+                row is not None
+                and row[0] <= max_gpus
+                and row[1] <= max_cpus
+                and row[2] <= max_ram
+            ):
+                return True
+        return False
+
     def best(self, state) -> tuple[Task | None, float]:
         """The feasible candidate maximizing ``value_with``, and its value."""
         pool = self._pool
@@ -340,7 +358,7 @@ def _pack_one_instance(
     evaluator: AssignmentEvaluator,
     rows: _Rows,
     resident: Sequence[Task] = (),
-) -> tuple[list[Task], float]:
+) -> tuple[list[Task], float | None]:
     """Greedy inner loop of Algorithm 1 (lines 6–13) for one instance.
 
     Returns the tasks popped from ``pool`` and the value of the whole
@@ -348,12 +366,17 @@ def _pack_one_instance(
     per type visit.  ``resident`` tasks (not in the pool) already occupy
     the instance: they seed the value and use capacity, as when Partial
     Reconfiguration offers a surviving instance's spare room (§4.5).
+    Where they leave room for no pool task, the result is ``([], None)``
+    and no pack state is built; Algorithm 1's own attempts have no
+    residents, so their value is always a number.
     """
-    chosen: list[Task] = []
-    state = evaluator.make_state(resident)
     scan = _ArgmaxScan(pool, rows, itype.capacity, itype.family)
     for task in resident:
         scan.charge(task)
+    if resident and not scan.fits_any():
+        return [], None
+    chosen: list[Task] = []
+    state = evaluator.make_state(resident)
     while True:
         best_task, best_value = scan.best(state)
         if best_task is None:

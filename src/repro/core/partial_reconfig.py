@@ -63,7 +63,9 @@ def _fill_survivor(
     """Offer subset tasks to a surviving instance's spare capacity.
 
     ``evaluator`` is bound to the survivor's type (``for_type``), and
-    ``rows`` are the pool's group rows for that type.
+    ``rows`` are the pool's group rows for that type.  A survivor whose
+    spare room fits no pool task comes back as it is, without a pack
+    state built for its residents.
     """
     added, _ = _pack_one_instance(
         survivor.instance_type, pool, evaluator, rows, resident=survivor.tasks

@@ -1,18 +1,25 @@
 """Unit tests for the baseline schedulers (§6.1)."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.cluster.instance as instance_module
 from repro.baselines import (
     NoPackingScheduler,
     OwlScheduler,
+    ReactiveScheduler,
     StratusScheduler,
     SynergyScheduler,
     runtime_bin,
 )
-from repro.cluster.instance import fresh_instance
+from repro.cluster.instance import Instance, fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import ClusterSnapshot, InstanceState
 from repro.cluster.task import make_job
+from repro.core.protocol import LaunchInstance
 from repro.interference.model import InterferenceModel
 
 
@@ -60,6 +67,103 @@ class TestNoPacking:
         snap = _snapshot([job], {inst: [job.tasks[0].task_id]})
         target = scheduler.schedule(snap)
         assert target.assignment()[job.tasks[0].task_id] == inst.instance_id
+
+
+class _BinSkeletonNoPacking(ReactiveScheduler):
+    """No-Packing as a placement rule on the reactive skeleton: every
+    queued task opens its reservation-price type, and
+    ``Scheduler.decide`` plans the target through ``diff_target``."""
+
+    name = "No-Packing (bins)"
+
+    def choose_placement(self, task, open_instances, snapshot):
+        return self.cheapest_type_for(task)
+
+
+def _plan_view(decision):
+    """A decision as plain values (``Instance`` compares by identity)."""
+    actions = [
+        (type(a).__name__, a.instance_id, a.instance.instance_type.name)
+        if isinstance(a, LaunchInstance)
+        else (type(a).__name__, a.task_id, a.instance_id)
+        for a in decision.actions
+    ]
+    return actions, _target_view(decision.target)
+
+
+def _target_view(target):
+    return [
+        (s.instance_id, s.instance_type.name, sorted(s.task_ids))
+        for s in target.instances
+    ]
+
+
+_NO_PACKING_DEMANDS = st.sampled_from(
+    [(0, 2, 4), (0, 4, 8), (0, 8, 32), (1, 4, 16), (1, 8, 61), (4, 16, 122)]
+)
+
+
+@st.composite
+def _no_packing_snapshots(draw, catalog):
+    """Snapshots mixing queued tasks, tasks on live instances, tasks of a
+    partly placed job that wait without an instance (requeued) and,
+    maybe, an empty live instance."""
+    rp = NoPackingScheduler(catalog).rp_calculator
+    jobs, instances = [], []
+    count = draw(st.integers(min_value=0, max_value=8))
+    for i in range(count):
+        job = make_job(
+            draw(st.sampled_from(["wa", "wb", "wc"])),
+            {"*": ResourceVector(*draw(_NO_PACKING_DEMANDS))},
+            1.0,
+            num_tasks=draw(st.integers(min_value=1, max_value=3)),
+            job_id=f"j{i}",
+        )
+        jobs.append(job)
+        placed = draw(st.integers(min_value=0, max_value=len(job.tasks)))
+        for task in job.tasks[:placed]:
+            instance = Instance(
+                rp.rp_type(task), instance_id=f"live-{len(instances)}"
+            )
+            instances.append((instance, [task.task_id]))
+    if draw(st.booleans()):
+        itype = draw(st.sampled_from([it for it in catalog if not it.is_ghost]))
+        instances.append((Instance(itype, instance_id="live-empty"), []))
+    order = draw(st.permutations(range(len(instances))))
+    return _snapshot(jobs, {instances[i][0]: instances[i][1] for i in order})
+
+
+class TestNoPackingPlan:
+    """No-Packing's own plan equals the bin skeleton's ``diff_target``
+    plan, action for action."""
+
+    @staticmethod
+    def _minted_from_one(plan):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instance_module, "_instance_counter", itertools.count(1))
+            return plan()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_plan_equals_bin_skeleton(self, catalog, data):
+        snapshot = data.draw(_no_packing_snapshots(catalog))
+        scheduler = NoPackingScheduler(catalog)
+        decision = self._minted_from_one(lambda: scheduler.decide(snapshot))
+        reference = self._minted_from_one(
+            lambda: _BinSkeletonNoPacking(catalog).decide(snapshot)
+        )
+        assert _plan_view(decision) == _plan_view(reference)
+        decision.validate(snapshot, NoPackingScheduler.action_types)
+        target = self._minted_from_one(lambda: scheduler.schedule(snapshot))
+        assert _target_view(target) == _target_view(decision.target)
+
+    def test_empty_queue_keeps_the_snapshot(self, catalog):
+        job = _job("A3C", (0, 4, 8), "placed")
+        inst = fresh_instance(next(it for it in catalog if it.name == "c7i.xlarge"))
+        snapshot = _snapshot([job], {inst: [job.tasks[0].task_id]})
+        decision = NoPackingScheduler(catalog).decide(snapshot)
+        assert decision.actions == ()
+        assert decision.target.instances == tuple(snapshot.instances)
 
 
 class TestStratus:

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.catalog import ec2_catalog
+from repro.cluster.instance import fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import tasks_fit_on_type
 from repro.cluster.task import make_job
 from repro.core import full_reconfig
 from repro.core.evaluation import RPEvaluator, TNRPEvaluator
 from repro.core.full_reconfig import (
+    PackedInstance,
     _ArgmaxScan,
     _pack_one_instance,
     _TaskPool,
@@ -25,7 +27,7 @@ from repro.core.heterogeneous import (
     HeterogeneousEvaluator,
     HeterogeneousRPCalculator,
 )
-from repro.core.partial_reconfig import partial_reconfiguration
+from repro.core.partial_reconfig import _fill_survivor, partial_reconfiguration
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.throughput_table import (
     CoLocationThroughputTable,
@@ -367,6 +369,12 @@ class _ReferenceScan:
 
     def charge(self, task):
         self._remaining = self._remaining - task.demand_for(self._family)
+
+    def fits_any(self):
+        return any(
+            t.demand_for(self._family).fits_within(self._remaining)
+            for t in self._pool.representatives()
+        )
 
     def best(self, state):
         feasible = [
@@ -900,6 +908,102 @@ class TestCeilingSkip:
         smallest = min(catalog, key=lambda it: it.hourly_cost)
         rows = pool.group_rows(smallest, ev)
         assert pool.value_ceiling(smallest, rows) == 2 * ev.task_rp(tasks[0])
+
+
+class TestSurvivorFillSkip:
+    """A survivor fill whose residents leave room for no pool task stops
+    before it builds their pack state; the packing must equal the one
+    that builds it."""
+
+    @pytest.mark.parametrize("kind", ["rp", "tnrp", "deadline"])
+    @settings(max_examples=120, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                _WORKLOADS,
+                _DEMANDS,
+                st.integers(min_value=1, max_value=3),  # arity (§4.4)
+                st.sampled_from([1.0, 2.5, 4.0]),  # deadline urgency
+            ),
+            min_size=2,
+            max_size=12,
+        ),
+        pairs=st.lists(
+            st.tuples(
+                _WORKLOADS, _WORKLOADS, st.sampled_from([0.25, 0.5, 0.75, 0.9])
+            ),
+            max_size=6,
+        ),
+        split=st.integers(min_value=1, max_value=11),
+        packed=st.booleans(),
+    )
+    def test_skip_is_exact(self, kind, jobs, pairs, split, packed):
+        table = CoLocationThroughputTable()
+        for a, b, tput in pairs:
+            if a != b:
+                table.observe_single_task_job(
+                    TaskPlacementObservation(a, (b,)), tput
+                )
+        mapping, urgency, residents, newcomers = {}, {}, [], []
+        for i, (workload, demand, arity, u) in enumerate(jobs):
+            job = make_job(
+                workload, {"*": demand}, 1.0, num_tasks=arity, job_id=f"j{i}"
+            )
+            mapping[job.job_id] = job
+            urgency[job.job_id] = u
+            (residents if i < split else newcomers).extend(job.tasks)
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        # Residents packed by Algorithm 1, or each alone on its
+        # reservation-price type, which often leaves spare room.
+        if packed:
+            current = [
+                (p.instance, p.tasks)
+                for p in full_reconfiguration(residents, catalog, RPEvaluator(calc))
+            ]
+        else:
+            current = [(fresh_instance(calc.rp_type(t)), [t]) for t in residents]
+        outcomes = []
+        for skip in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not skip:
+                    mp.setattr(_ArgmaxScan, "fits_any", lambda self: True)
+                ev = _evaluator(kind, calc, table, mapping, urgency)
+                result = partial_reconfiguration(current, newcomers, catalog, ev)
+            outcomes.append(
+                (
+                    _layout(result.configuration),
+                    result.repacked_task_ids,
+                    result.drained_instance_ids,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_full_survivor_builds_no_pack_state(self, monkeypatch):
+        # The resident fills c7i.xlarge (4 CPU, 8 GB); the newcomer fits
+        # the empty type but not beside it.
+        catalog = ec2_catalog()
+        itype = next(it for it in catalog if it.name == "c7i.xlarge")
+        resident = _single("wa", ResourceVector(0, 4, 8), "res")
+        newcomer = _single("wb", ResourceVector(0, 2, 4), "new")
+        ev = RPEvaluator(ReservationPriceCalculator(catalog))
+        pool = _TaskPool([newcomer], ev, True)
+        rows = pool.group_rows(itype, ev)
+        assert rows
+        survivor = PackedInstance(
+            instance=fresh_instance(itype), tasks=(resident,)
+        )
+        built = []
+        make_state = RPEvaluator.make_state
+
+        def counted(self, tasks=()):
+            built.append(tuple(tasks))
+            return make_state(self, tasks)
+
+        monkeypatch.setattr(RPEvaluator, "make_state", counted)
+        assert _fill_survivor(survivor, pool, ev, rows) is survivor
+        assert built == []
+        assert pool.representatives() == [newcomer]
 
 
 class TestValueCap:
