@@ -3,14 +3,14 @@
 All four baselines are *reactive*: they keep every existing assignment,
 place newly arrived (queued) tasks each round, and never migrate (the
 right-sizing adaptation in Synergy/Owl being the one exception).  They
-share the round's bins (:class:`OpenInstance`, from
-:func:`open_instances_of`) but not one code path:
+do not share one code path:
 
 * Synergy places through :class:`ReactiveScheduler`, the
   keep-everything skeleton, by overriding
   :meth:`ReactiveScheduler.choose_placement`;
 * Stratus and Owl subclass :class:`~repro.core.interfaces.Scheduler`
-  and write their own ``schedule`` over the bins;
+  and write their own ``schedule`` over the round's bins
+  (:class:`OpenInstance`, from :func:`open_instances_of`);
 * No-Packing needs no bins: its ``decide`` launches one instance per
   queued task and emits the actions itself.
 

@@ -157,14 +157,6 @@ class TestNoPackingPlan:
         target = self._minted_from_one(lambda: scheduler.schedule(snapshot))
         assert _target_view(target) == _target_view(decision.target)
 
-    def test_empty_queue_keeps_the_snapshot(self, catalog):
-        job = _job("A3C", (0, 4, 8), "placed")
-        inst = fresh_instance(next(it for it in catalog if it.name == "c7i.xlarge"))
-        snapshot = _snapshot([job], {inst: [job.tasks[0].task_id]})
-        decision = NoPackingScheduler(catalog).decide(snapshot)
-        assert decision.actions == ()
-        assert decision.target.instances == tuple(snapshot.instances)
-
 
 class TestStratus:
     def test_runtime_bins_exponential(self):

@@ -979,6 +979,21 @@ class TestSurvivorFillSkip:
             )
         assert outcomes[0] == outcomes[1]
 
+    def test_survivor_fills_to_the_exact_room(self):
+        # p3.2xlarge (1 GPU, 8 CPU, 61 GB) keeps 45 GB beside the
+        # resident, so RAM alone decides whether the newcomer fits.
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        resident = _single("wa", ResourceVector(1, 4, 16), "res")
+        newcomer = _single("wb", ResourceVector(0, 2, 45), "new")
+        survivor = fresh_instance(calc.rp_type(resident))
+        result = partial_reconfiguration(
+            [(survivor, [resident])], [newcomer], catalog, RPEvaluator(calc)
+        )
+        assert _layout(result.configuration) == [
+            ("p3.2xlarge", ("res/t0", "new/t0"))
+        ]
+
     def test_full_survivor_builds_no_pack_state(self, monkeypatch):
         # The resident fills c7i.xlarge (4 CPU, 8 GB); the newcomer fits
         # the empty type but not beside it.
