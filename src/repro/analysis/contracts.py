@@ -1,6 +1,7 @@
-"""Protocol-contract rules: action vocabulary and observation purity.
+"""Protocol-contract rules: action and observation vocabularies, and
+observation purity.
 
-The typed action/observation protocol (:mod:`repro.core.protocol`, PR 4)
+The typed action/observation protocol (:mod:`repro.core.protocol`)
 gives every scheduler a declared surface:
 
 * **action-vocabulary**: a scheduler that declares
@@ -10,6 +11,14 @@ gives every scheduler a declared surface:
   construction of an undeclared action type inside the class body is a
   contract violation the dynamic check would only catch when that code
   path executes.
+* **observation-vocabulary**: a scheduler that declares
+  ``observation_types = frozenset({...})`` promises it reads only those
+  observation kinds, and the environments build no reports or deadline
+  warnings for a scheduler that leaves them out.  So a policy whose
+  vocabulary leaves out ``ThroughputReport`` must not define (or
+  inherit from policy code) ``on_throughput_reports``, which would
+  silently never see a report, and a class must not ``isinstance``-test
+  an observation type outside its vocabulary.
 * **observation-purity**: information the protocol delivers through the
   observation channel must not be sniffed off the cluster snapshot.
   Concretely: policy code — schedulers and the
@@ -21,12 +30,12 @@ gives every scheduler a declared surface:
   (snapshot internals, environment state).  Purity keeps schedulers
   replayable from the recorded observation stream alone.
 
-Both rules work from the project-wide class index built by the shared
+The rules work from the project-wide class index built by the shared
 visitor pass, resolving inheritance by class name: a class is policy
 code iff its base-name chain reaches ``Scheduler`` or ``Signal``, and
-its effective vocabulary is the nearest ``action_types`` declaration up
-that chain (``None`` anywhere means unrestricted; a signal declares
-none, so only schedulers have a vocabulary to check).
+its effective vocabulary is the nearest declaration up that chain
+(``None`` anywhere means unrestricted; a signal declares none, so only
+schedulers have a vocabulary to check).
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ __all__ = [
     "ClassIndex",
     "check_action_vocabulary",
     "check_observation_purity",
+    "check_observation_vocabulary",
 ]
 
 #: Roots of policy code — the scheduler ABC and the signal base Eva
@@ -101,16 +111,28 @@ class ClassIndex:
             for base in c.base_names
         )
 
-    def vocabulary(self, cls: ClassFacts) -> tuple[str, ...] | None:
-        """Nearest ``action_types`` declaration up the base chain.
+    def vocabulary(
+        self, cls: ClassFacts, attribute: str = "action_types"
+    ) -> tuple[str, ...] | None:
+        """Nearest ``attribute`` declaration up the base chain.
 
         Returns ``None`` (unrestricted) when no class in the chain
         declares a vocabulary, or when the nearest declaration is an
-        explicit ``action_types = None``.
+        explicit ``= None``.
         """
         for current in self._base_chain(cls):
-            if current.declares_action_types:
-                return current.action_types
+            if attribute in current.vocabularies:
+                return current.vocabularies[attribute]
+        return None
+
+    def definer(self, cls: ClassFacts, method: str) -> ClassFacts | None:
+        """The nearest policy class up the base chain (``cls`` included)
+        that defines ``method``; the roots' defaults do not count."""
+        for current in self._base_chain(cls):
+            if current.name in _POLICY_ROOTS:
+                continue
+            if method in current.methods:
+                return current
         return None
 
 
@@ -143,6 +165,59 @@ def check_action_vocabulary(
                         f"{cls.name} constructs {action} but declares "
                         f"action_types = {{{', '.join(sorted(declared))}}}; "
                         "extend the declaration or drop the action"
+                    ),
+                )
+            )
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# Rule: observation-vocabulary
+# ---------------------------------------------------------------------------
+
+
+def check_observation_vocabulary(
+    facts: ModuleFacts, index: ClassIndex
+) -> list[Finding]:
+    """Flag report hooks and observation tests outside the declared
+    observation vocabulary."""
+    findings: list[Finding] = []
+    for cls in facts.classes:
+        if not index.is_policy(cls):
+            continue
+        vocabulary = index.vocabulary(cls, "observation_types")
+        if vocabulary is None:
+            continue  # reads every kind
+        declared = set(vocabulary)
+        shown = "{" + ", ".join(sorted(declared)) + "}"
+        definer = index.definer(cls, "on_throughput_reports")
+        if "ThroughputReport" not in declared and definer is not None:
+            inherited = "" if definer is cls else f" (from {definer.name})"
+            findings.append(
+                Finding(
+                    rule="observation-vocabulary",
+                    path=facts.source.path,
+                    line=cls.methods.get("on_throughput_reports", cls.line),
+                    message=(
+                        f"{cls.name} defines on_throughput_reports{inherited} "
+                        f"but declares observation_types = {shown}, so it "
+                        "is never handed a report; add ThroughputReport "
+                        "or drop the hook"
+                    ),
+                )
+            )
+        for line, kind in cls.observation_tests:
+            if kind in declared:
+                continue
+            findings.append(
+                Finding(
+                    rule="observation-vocabulary",
+                    path=facts.source.path,
+                    line=line,
+                    message=(
+                        f"{cls.name} tests for {kind} but declares "
+                        f"observation_types = {shown}; extend the "
+                        "declaration or drop the test"
                     ),
                 )
             )

@@ -28,6 +28,7 @@ from repro.analysis.contracts import (
     ClassIndex,
     check_action_vocabulary,
     check_observation_purity,
+    check_observation_vocabulary,
 )
 from repro.analysis.coverage import (
     check_fingerprint_coverage,
@@ -128,6 +129,7 @@ def run_analysis(
         raw.extend(check_banned_calls(facts))
         raw.extend(check_action_vocabulary(facts, index))
         raw.extend(check_observation_purity(facts, index))
+        raw.extend(check_observation_vocabulary(facts, index))
     if runtime_rules:
         raw.extend(check_fingerprint_coverage(default_coverage_targets()))
         raw.extend(check_pickle_omission())

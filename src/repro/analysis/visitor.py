@@ -14,8 +14,10 @@ re-traversing the tree per rule.  The walk collects:
 * **Call events** — every call with a resolvable dotted name, for the
   banned-nondeterminism rule.
 * **Class facts** — every class definition with its base names, declared
-  ``action_types`` vocabulary, protocol-action constructions, and
-  attribute reads, for the vocabulary/purity rules.
+  ``action_types`` and ``observation_types`` vocabularies, methods,
+  protocol-action constructions, ``isinstance`` tests against
+  observation types, and attribute reads, for the vocabulary/purity
+  rules.
 
 Set-typedness is deliberately syntactic (no type inference engine): set
 displays and comprehensions, ``set``/``frozenset`` calls, set-operator
@@ -147,16 +149,20 @@ class ClassFacts:
     name: str
     line: int
     base_names: tuple[str, ...]
-    #: Names inside a ``action_types = frozenset({...})`` declaration;
-    #: None when the class either declares no vocabulary or explicitly
-    #: declares ``action_types = None`` (unrestricted) — the two are
-    #: told apart by :attr:`declares_action_types`.
-    action_types: tuple[str, ...] | None
-    #: True when the class body assigns ``action_types`` at all.
-    declares_action_types: bool
+    #: The class-level vocabulary bindings, keyed by attribute
+    #: (``action_types``, ``observation_types``): the names inside a
+    #: ``frozenset({...})`` declaration, or None for an explicit
+    #: ``= None`` (unrestricted).  An attribute the class body never
+    #: assigns has no key.
+    vocabularies: dict[str, tuple[str, ...] | None]
+    #: Methods defined directly in the class body: name → line.
+    methods: dict[str, int] = field(default_factory=dict)
     #: Protocol action constructions inside the class body:
     #: ``(line, action name)``.
     action_constructions: list[tuple[int, str]] = field(default_factory=list)
+    #: ``isinstance`` tests against protocol observation types inside
+    #: the class body: ``(line, observation name)``.
+    observation_tests: list[tuple[int, str]] = field(default_factory=list)
     #: Attribute reads inside the class body: ``(line, attr, root)``
     #: where root is the base variable name ("snapshot", "self", ...) or
     #: "" when the base is a non-trivial expression.
@@ -178,6 +184,24 @@ class ModuleFacts:
 ACTION_TYPE_NAMES = frozenset(
     {"LaunchInstance", "TerminateInstance", "AssignTask", "UnassignTask", "MigrateTask"}
 )
+
+#: The protocol observation type names, likewise.
+OBSERVATION_TYPE_NAMES = frozenset(
+    {
+        "JobArrived",
+        "JobFinished",
+        "SpotEvictionNotice",
+        "DeadlineApproaching",
+        "InstanceFailed",
+        "StragglerReport",
+        "PriceChanged",
+        "PoolExhausted",
+        "ThroughputReport",
+    }
+)
+
+#: Class-level attributes that declare a protocol vocabulary.
+_VOCABULARY_ATTRIBUTES = ("action_types", "observation_types")
 
 
 class _FactsVisitor(ast.NodeVisitor):
@@ -380,11 +404,19 @@ class _FactsVisitor(ast.NodeVisitor):
                 self._class_stack[-1].action_constructions.append(
                     (node.lineno, base)
                 )
+            if name == "isinstance" and self._class_stack and len(node.args) == 2:
+                self._record_observation_tests(node.lineno, node.args[1])
         self.generic_visit(node)
+
+    def _record_observation_tests(self, line: int, kinds: ast.expr) -> None:
+        """Record the observation types an ``isinstance`` call tests."""
+        for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+            name = (dotted_name(kind) or "").rsplit(".", maxsplit=1)[-1]
+            if name in OBSERVATION_TYPE_NAMES:
+                self._class_stack[-1].observation_tests.append((line, name))
 
     # -- classes ---------------------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        declared, declares = _declared_action_types(node)
         facts = ClassFacts(
             name=node.name,
             line=node.lineno,
@@ -393,8 +425,12 @@ class _FactsVisitor(ast.NodeVisitor):
                 for name in (dotted_name(base) for base in node.bases)
                 if name is not None
             ),
-            action_types=declared,
-            declares_action_types=declares,
+            vocabularies=_declared_vocabularies(node),
+            methods={
+                stmt.name: stmt.lineno
+                for stmt in node.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            },
         )
         self.facts.classes.append(facts)
         self._class_stack.append(facts)
@@ -412,16 +448,16 @@ class _FactsVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _declared_action_types(
+def _declared_vocabularies(
     node: ast.ClassDef,
-) -> tuple[tuple[str, ...] | None, bool]:
-    """``(names, declared)`` for a class-level ``action_types`` binding.
+) -> dict[str, tuple[str, ...] | None]:
+    """The class-level ``action_types``/``observation_types`` bindings.
 
-    ``((...), True)`` for ``action_types = frozenset({...})``;
-    ``(None, True)`` for an explicit ``action_types = None``
-    (unrestricted); ``(None, False)`` when the class body never assigns
-    the attribute.
+    ``(...)`` for ``frozenset({...})`` (the first binding of each wins);
+    ``None`` for an explicit ``= None`` (unrestricted); no key when the
+    class body never assigns the attribute.
     """
+    declared: dict[str, tuple[str, ...] | None] = {}
     for stmt in node.body:
         targets: list[ast.expr]
         value: ast.expr | None
@@ -431,21 +467,25 @@ def _declared_action_types(
             targets, value = [stmt.target], stmt.value
         else:
             continue
-        if value is None or not any(
-            isinstance(t, ast.Name) and t.id == "action_types" for t in targets
-        ):
+        if value is None:
             continue
-        if isinstance(value, ast.Constant) and value.value is None:
-            return None, True
-        names: list[str] = []
-        for inner in ast.walk(value):
-            if isinstance(inner, ast.Name) and inner.id not in (
-                "frozenset",
-                "set",
+        for target in targets:
+            if (
+                not isinstance(target, ast.Name)
+                or target.id not in _VOCABULARY_ATTRIBUTES
+                or target.id in declared
             ):
-                names.append(inner.id)
-        return tuple(names), True
-    return None, False
+                continue
+            if isinstance(value, ast.Constant) and value.value is None:
+                declared[target.id] = None
+                continue
+            declared[target.id] = tuple(
+                inner.id
+                for inner in ast.walk(value)
+                if isinstance(inner, ast.Name)
+                and inner.id not in ("frozenset", "set")
+            )
+    return declared
 
 
 def collect_facts(source: SourceFile) -> ModuleFacts:

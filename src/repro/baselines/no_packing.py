@@ -38,6 +38,9 @@ class NoPackingScheduler(Scheduler):
     #: Strictly reactive: launches and first placements only.
     action_types = frozenset({LaunchInstance, AssignTask})
 
+    #: Decides from the snapshot's queue alone.
+    observation_types = frozenset()
+
     def __init__(self, catalog: Sequence[InstanceType]):
         self.catalog = [it for it in catalog if not it.is_ghost]
         self.rp_calculator = ReservationPriceCalculator(self.catalog)

@@ -44,6 +44,10 @@ class OwlScheduler(Scheduler):
         {LaunchInstance, AssignTask, MigrateTask, TerminateInstance}
     )
 
+    #: Packs from an offline interference profile and reads no
+    #: observations.
+    observation_types = frozenset()
+
     def __init__(
         self,
         catalog: Sequence[InstanceType],

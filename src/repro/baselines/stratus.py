@@ -51,6 +51,10 @@ class StratusScheduler(Scheduler):
     #: decisions may only launch instances and place queued tasks.
     action_types = frozenset({LaunchInstance, AssignTask})
 
+    #: Bins by the runtimes the snapshot's jobs declare and reads no
+    #: observations.
+    observation_types = frozenset()
+
     def __init__(self, catalog: Sequence[InstanceType]):
         self.catalog = [it for it in catalog if not it.is_ghost]
         self.rp_calculator = ReservationPriceCalculator(self.catalog)

@@ -32,6 +32,7 @@ from repro.core.protocol import (
     LaunchInstance,
     MigrateTask,
     TerminateInstance,
+    ThroughputReport,
 )
 from repro.baselines.base import OpenInstance, ReactiveScheduler
 
@@ -46,6 +47,9 @@ class SynergyScheduler(ReactiveScheduler):
     action_types = frozenset(
         {LaunchInstance, AssignTask, MigrateTask, TerminateInstance}
     )
+
+    #: The throughput reports feed its admission check's table.
+    observation_types = frozenset({ThroughputReport})
 
     def __init__(self, catalog: Sequence[InstanceType], default_tput: float = 0.95):
         super().__init__(catalog)

@@ -193,7 +193,7 @@ class TNRPCaches:
     def __init__(self) -> None:
         self.set_value: dict[tuple[str, ...], float] = {}
         self.table_version = -1
-        self.catalog_token: tuple | None = None
+        self.catalog_token: str | None = None
 
     def sync(self, table: CoLocationThroughputTable) -> None:
         version = table.version
@@ -201,7 +201,7 @@ class TNRPCaches:
             self.set_value.clear()
             self.table_version = version
 
-    def bind(self, catalog_token: tuple) -> None:
+    def bind(self, catalog_token: str) -> None:
         """Tie the memo to one catalog.  Every cached value embeds RPs,
         so an evaluator priced against a different catalog must not reuse
         them: rebinding to a new token drops everything."""

@@ -19,6 +19,9 @@ the worker queries each job's ``EvaIterator`` and reports to the master
 every scheduling round) — on the wire these are
 :class:`~repro.core.protocol.ThroughputReport` observations, unwrapped
 by the default ``decide`` into :meth:`Scheduler.on_throughput_reports`.
+A scheduler that reads no reports declares so in
+:attr:`Scheduler.observation_types`, and the environment then builds
+none for it.
 """
 
 from __future__ import annotations
@@ -78,6 +81,18 @@ class Scheduler(ABC):
     #: master on every round, the simulator in validate mode.
     action_types: frozenset[type] | None = None
 
+    #: Observation kinds this scheduler reads, or ``None`` for all of
+    #: them.  Every environment honours it the same way (see
+    #: :meth:`reads_observation`): it builds no
+    #: :class:`~repro.core.protocol.ThroughputReport` and runs no
+    #: :class:`~repro.core.protocol.DeadlineApproaching` scan for a
+    #: scheduler whose vocabulary leaves those kinds out.  The events it
+    #: accumulates as they happen (arrivals, finishes, notices, faults,
+    #: price moves) are delivered unfiltered: they cost nothing to pass
+    #: on.  Like ``action_types`` this is a class declaration, not a
+    #: per-run knob, and it never changes a result.
+    observation_types: frozenset[type] | None = None
+
     @abstractmethod
     def schedule(self, snapshot: ClusterSnapshot) -> TargetConfiguration:
         """Decide the cluster configuration for the next period."""
@@ -93,6 +108,11 @@ class Scheduler(ABC):
         completions, spot eviction notices, deadline warnings — without
         overriding :meth:`decide` wholesale.
         """
+
+    def reads_observation(self, kind: type) -> bool:
+        """Whether :attr:`observation_types` admits observations of ``kind``."""
+        kinds = self.observation_types
+        return kinds is None or kind in kinds
 
     def decide(
         self,

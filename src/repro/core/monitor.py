@@ -44,13 +44,16 @@ class ThroughputMonitor:
         was added (adding always changes a value: ``None != tput``) and
         no value moved, so the table state is identical to the state the
         same reports were just applied to — every §4.4 attribution rule
-        takes the same branch and rewrites the same values.
+        takes the same branch and rewrites the same values.  The very
+        tuple stored last needs no per-report comparison.
         """
         last = self._last_reports
-        if (
-            self._last_was_fixpoint
-            and len(reports) == len(last)
-            and all(a is b for a, b in zip(reports, last))
+        if self._last_was_fixpoint and (
+            reports is last
+            or (
+                len(reports) == len(last)
+                and all(a is b for a, b in zip(reports, last))
+            )
         ):
             return
         version_before = self.table.version

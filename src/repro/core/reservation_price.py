@@ -13,6 +13,7 @@ own reservation-price instance.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -78,20 +79,24 @@ class ReservationPriceCalculator:
             "_by_cost_asc",
             sorted(real_types, key=lambda it: (it.hourly_cost, it.name)),
         )
+        content = tuple(
+            (it.name, it.family, it.capacity.as_tuple(), it.hourly_cost)
+            for it in self.catalog
+        )
+        # A float's repr round-trips exactly, so equal digests mean equal
+        # content; a string caches its hash, a tuple rehashes per lookup.
         object.__setattr__(
             self,
             "_catalog_token",
-            tuple(
-                (it.name, it.family, it.capacity.as_tuple(), it.hourly_cost)
-                for it in self.catalog
-            ),
+            hashlib.sha256(repr(content).encode("utf-8")).hexdigest(),
         )
 
     @property
-    def catalog_token(self) -> tuple:
-        """Hashable content snapshot of the catalog this calculator prices
-        against.  Two calculators agree on every RP iff their tokens are
-        equal, so cross-calculator caches key their entries on it."""
+    def catalog_token(self) -> str:
+        """Content digest of the catalog this calculator prices against:
+        every type's name, family, capacity and hourly cost.  Two
+        calculators agree on every RP iff their tokens are equal, so
+        cross-calculator caches key their entries on it."""
         return self._catalog_token  # type: ignore[attr-defined]
 
     def rp_type(self, task: Task) -> InstanceType:

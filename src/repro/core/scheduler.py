@@ -200,6 +200,11 @@ class EvaScheduler(Scheduler):
         {LaunchInstance, AssignTask, MigrateTask, TerminateInstance}
     )
 
+    #: Eva reads every kind: the monitor reads throughput reports, D̂
+    #: counts arrivals and finishes, and its signals read eviction
+    #: notices, deadline warnings, failures, prices and reports.
+    observation_types = None
+
     def __init__(
         self,
         catalog: Sequence[InstanceType],
@@ -231,6 +236,13 @@ class EvaScheduler(Scheduler):
         #: Arrival/completion count from the observation channel, fed to
         #: the D̂ estimator at the next round.
         self._pending_job_events = 0
+        #: The last observations tuple read, held so that ``is`` can
+        #: recognise it, with its unwrapped reports and its
+        #: arrival/completion count: a steady round, handed the very
+        #: tuple of the round before, reads it no further.
+        self._read_obs: tuple[Observation, ...] = ()
+        self._read_reports: tuple[JobThroughputReport, ...] = ()
+        self._read_job_events = 0
         self.last_decision: ReconfigDecision | None = None
         #: Round-decision memo (no-op steady-state rounds short-circuit
         #: the whole packing pipeline).  Setting it to ``None`` gives the
@@ -274,9 +286,14 @@ class EvaScheduler(Scheduler):
         """Count arrival/completion events for the §4.5 D̂ estimator.
 
         Typed ``JobArrived``/``JobFinished`` observations are the
-        estimator's one event source.
+        estimator's one event source.  The tuple :meth:`decide` last
+        read brings its count along.
         """
-        self._pending_job_events += count_job_events(observations)
+        self._pending_job_events += (
+            self._read_job_events
+            if observations is self._read_obs
+            else count_job_events(observations)
+        )
         for signal in self.signals:
             signal.observe(observations)
 
@@ -482,8 +499,16 @@ class EvaScheduler(Scheduler):
         abandoned and the round recomputed for real.  Decisions *with*
         actions are never cached (their launch actions embed freshly
         minted instance ids).
+
+        A tuple is read once: its reports and its arrival/completion
+        count are kept until a different tuple arrives, and the kept
+        reports tuple lets the monitor see an applied round by identity.
         """
-        self.on_throughput_reports(throughput_reports(observations))
+        if observations is not self._read_obs:
+            self._read_obs = observations
+            self._read_reports = throughput_reports(observations)
+            self._read_job_events = count_job_events(observations)
+        self.on_throughput_reports(self._read_reports)
         self.observe(observations)
         self._pre_schedule(snapshot)
         packing_snapshot = self._packing_snapshot(snapshot)

@@ -203,12 +203,23 @@ class EvaMaster:
     def _observations(self) -> tuple[Observation, ...]:
         """Drain pending job events, then deadline warnings, then reports.
 
-        Same deterministic order and same once-per-job deadline-warning
-        semantics as the simulator's observation stream (the deadline
-        clock starts at submission).
+        Same deterministic order, same once-per-job deadline-warning
+        semantics (the deadline clock starts at submission) and the same
+        rule as the simulator's observation stream: warnings and reports
+        are built only for a scheduler whose ``observation_types`` admits
+        them, so a scheduler that reads no reports costs no worker
+        queries.
         """
         observations = self._pending_obs
         self._pending_obs = []
+        if self.scheduler.reads_observation(DeadlineApproaching):
+            self._deadline_warnings(observations)
+        if self.scheduler.reads_observation(ThroughputReport):
+            observations.extend(ThroughputReport(r) for r in self._reports())
+        return tuple(observations)
+
+    def _deadline_warnings(self, observations: list[Observation]) -> None:
+        """Append the first warning of each live job within the horizon."""
         for job in self.live_jobs():
             if job.deadline_hours is None or job.job_id in self._deadline_warned:
                 continue
@@ -220,8 +231,6 @@ class EvaMaster:
                 observations.append(
                     DeadlineApproaching(job_id=job.job_id, deadline_s=deadline_s)
                 )
-        observations.extend(ThroughputReport(r) for r in self._reports())
-        return tuple(observations)
 
     def _snapshot(self) -> ClusterSnapshot:
         tasks = dict(self._task_index)

@@ -740,10 +740,13 @@ class ClusterSimulator:
         #: Jobs whose DeadlineApproaching warning was already emitted
         #: (warnings are delivered once, not re-emitted every round).
         self._deadline_warned: set[str] = set()
-        #: Deadline-free traces skip the per-round warning scan outright.
-        self._has_deadline_jobs = any(
-            job.deadline_hours is not None for job in trace
-        )
+        #: Deadline-free traces, and schedulers that read no warnings,
+        #: skip the per-round warning scan outright.
+        self._scans_deadlines = scheduler.reads_observation(
+            DeadlineApproaching
+        ) and any(job.deadline_hours is not None for job in trace)
+        #: A scheduler that reads no reports gets none built.
+        self._builds_reports = scheduler.reads_observation(ThroughputReport)
         #: Steady-round observation tuple, keyed by the identity of the
         #: (epoch-cached) reports tuple it wraps.
         self._obs_cache: tuple[Observation, ...] = ()
@@ -982,10 +985,14 @@ class ClusterSimulator:
         arrivals/completions fire once; consumers keep their own
         deadline map (pruned against the snapshot) like eviction-notice
         consumers do.
+
+        Warnings and reports are built only for a scheduler whose
+        :attr:`~repro.core.interfaces.Scheduler.observation_types` admits
+        them; the accumulated events are passed on unfiltered.
         """
         observations = self._pending_obs
         self._pending_obs = []
-        if self._has_deadline_jobs:
+        if self._scans_deadlines:
             for jid in live:
                 if jid in self._deadline_warned:
                     continue
@@ -999,6 +1006,8 @@ class ClusterSimulator:
                     observations.append(
                         DeadlineApproaching(job_id=jid, deadline_s=deadline_s)
                     )
+        if not self._builds_reports:
+            return tuple(observations)
         reports = self._throughput_reports(live)
         if observations:
             observations.extend(ThroughputReport(r) for r in reports)

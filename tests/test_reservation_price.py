@@ -1,5 +1,8 @@
 """Unit and property tests for reservation price (§4.2)."""
 
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +181,56 @@ class TestCatalogTokenKeying:
         assert not caches.set_value
         assert ev_a2.tnrp_from_tput(task, 0.5) == value_a
         assert ev_a2.set_value(job.tasks) == set_a
+
+
+class TestCatalogTokenDigest:
+    """The catalog token is a digest string, hashed once per calculator,
+    that keeps the content tuple's equality: equal catalogs give equal
+    tokens and any changed field a different one, down to one ulp."""
+
+    _FIELDS = {
+        "name": lambda it: replace(it, name=it.name + "-b"),
+        "family": lambda it: replace(it, family=it.family + "-b"),
+        "gpus": lambda it: replace(
+            it, capacity=replace(it.capacity, gpus=_ulp_up(it.capacity.gpus))
+        ),
+        "cpus": lambda it: replace(
+            it, capacity=replace(it.capacity, cpus=_ulp_up(it.capacity.cpus))
+        ),
+        "ram_gb": lambda it: replace(
+            it, capacity=replace(it.capacity, ram_gb=_ulp_up(it.capacity.ram_gb))
+        ),
+        "hourly_cost": lambda it: replace(
+            it, hourly_cost=_ulp_up(it.hourly_cost)
+        ),
+    }
+
+    def test_token_is_a_string(self, example_catalog):
+        assert isinstance(
+            ReservationPriceCalculator(example_catalog).catalog_token, str
+        )
+
+    def test_equal_catalogs_equal_tokens(self, catalog):
+        copied = [
+            replace(it, capacity=replace(it.capacity)) for it in catalog
+        ]
+        assert copied[0] is not catalog[0]
+        assert (
+            ReservationPriceCalculator(copied).catalog_token
+            == ReservationPriceCalculator(catalog).catalog_token
+        )
+
+    @pytest.mark.parametrize("field", sorted(_FIELDS))
+    def test_any_changed_field_changes_the_token(self, field, example_catalog):
+        stock = ReservationPriceCalculator(example_catalog).catalog_token
+        change = self._FIELDS[field]
+        for index, itype in enumerate(example_catalog):
+            changed = list(example_catalog)
+            changed[index] = change(itype)
+            assert changed[index] != itype
+            token = ReservationPriceCalculator(changed).catalog_token
+            assert token != stock, (field, itype.name)
+
+
+def _ulp_up(value: float) -> float:
+    return math.nextafter(float(value), math.inf)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.baselines import NoPackingScheduler
 from repro.cloud.catalog import ec2_catalog
+from repro.core.protocol import DeadlineApproaching, JobArrived, ThroughputReport
 from repro.core.scheduler import EvaScheduler
 from repro.interference.model import no_interference_model
 from repro.runtime.iterator import EvaIterator
@@ -64,6 +66,44 @@ class TestMasterFlow:
         master.run_round()
         master.advance(600.0)
         assert master.total_cost() > 0
+
+
+class TestObservationVocabulary:
+    """The master builds what a scheduler reads, by the simulator's rule:
+    No-Packing reads no observations and gets no reports or deadline
+    warnings, Eva reads every kind and gets both."""
+
+    @staticmethod
+    def _observed_kinds(scheduler, catalog):
+        master = EvaMaster(
+            catalog=catalog,
+            scheduler=scheduler,
+            interference=no_interference_model(),
+            deadline_warning_s=1e9,
+        )
+        job = workload("A3C").make_job(
+            duration_hours=1.0, job_id="a", deadline_hours=2.0
+        )
+        master.submit_job(job)
+        rounds = []
+        decide = scheduler.decide
+
+        def recording(snapshot, observations=()):
+            rounds.append(observations)
+            return decide(snapshot, observations)
+
+        scheduler.decide = recording
+        master.run_for(hours=0.5)
+        assert len(rounds) > 2
+        return {type(obs) for observations in rounds for obs in observations}
+
+    def test_no_packing_gets_no_reports(self, catalog):
+        kinds = self._observed_kinds(NoPackingScheduler(catalog), catalog)
+        assert kinds == {JobArrived}
+
+    def test_eva_gets_reports_and_warnings(self, catalog):
+        kinds = self._observed_kinds(EvaScheduler(catalog), catalog)
+        assert kinds == {JobArrived, DeadlineApproaching, ThroughputReport}
 
 
 class TestEvaIterator:

@@ -1,7 +1,10 @@
 """Unit tests for the EvaScheduler (§3, §4)."""
 
+import itertools
+
 import pytest
 
+import repro.cluster.instance as instance_module
 from repro.cluster.instance import fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import ClusterSnapshot, InstanceState
@@ -15,6 +18,7 @@ from repro.core.protocol import (
     MigrateTask,
     SpotEvictionNotice,
     TerminateInstance,
+    ThroughputReport,
 )
 from repro.core.scheduler import (
     EvaConfig,
@@ -22,7 +26,10 @@ from repro.core.scheduler import (
     EvictionNotices,
     make_eva_variant,
 )
-from repro.core.throughput_table import TaskPlacementObservation
+from repro.core.throughput_table import (
+    CoLocationThroughputTable,
+    TaskPlacementObservation,
+)
 
 
 def _snapshot(jobs, placements=None, time_s=0.0):
@@ -185,6 +192,98 @@ class TestPlannedRound:
         delays = scheduler.delay_model
         assert record.migration_full == migration_cost(full, snapshot, delays)
         assert record.migration_partial == migration_cost(partial, snapshot, delays)
+
+
+class TestObservationsReadOnce:
+    """Eva reads an observations tuple once: a round handed the very
+    tuple of the round before reuses its unwrapped reports and its
+    arrival/completion count, and decides exactly as a round handed an
+    equal copy, which is read in full."""
+
+    @staticmethod
+    def _rounds(example_catalog):
+        j1 = _job("w1", (1, 4, 10), "j1")
+        j2 = _job("w2", (1, 4, 10), "j2")
+        shared = fresh_instance(example_catalog[0])
+        both = {shared: [j1.tasks[0].task_id, j2.tasks[0].task_id]}
+
+        def report(job, workload, neighbour, tput):
+            placement = TaskPlacementObservation(
+                workload=workload, neighbours=(neighbour,)
+            )
+            return ThroughputReport(JobThroughputReport(job, tput, (placement,)))
+
+        # Every tuple has two items, so a freed copy's memory is the
+        # next copy's: only a held reference tells them apart.
+        arrived = (JobArrived("j1", 0.0), JobArrived("j2", 0.0))
+        steady = (report("j1", "w1", "w2", 0.7), report("j2", "w2", "w1", 0.9))
+        finished = (JobFinished("j2", 1200.0), steady[0])
+        return [
+            (_snapshot([j1, j2], time_s=0.0), arrived),
+            (_snapshot([j1, j2], both, time_s=300.0), steady),
+            (_snapshot([j1, j2], both, time_s=600.0), steady),
+            (_snapshot([j1, j2], both, time_s=900.0), steady),
+            (_snapshot([j1], {shared: [j1.tasks[0].task_id]}, 1200.0), finished),
+            (_snapshot([j1], {shared: [j1.tasks[0].task_id]}, 1500.0), finished),
+        ]
+
+    @staticmethod
+    def _run(example_catalog, rounds, copy, monkeypatch):
+        """Decide ``rounds`` on a fresh scheduler, handing it each tuple
+        itself or (``copy``) a new equal tuple; returns the decisions'
+        actions, the D̂ event total, the unwrap count and the table
+        observation count."""
+        monkeypatch.setattr(instance_module, "_instance_counter", itertools.count(1))
+        unwraps, observed = [], []
+        unwrap = eva_scheduler.throughput_reports
+        observe = CoLocationThroughputTable.observe_single_task_job
+
+        def counting_unwrap(observations):
+            # Counts without holding the tuple, so a copy is freed after
+            # its round, as in a simulation.
+            unwraps.append(len(observations))
+            return unwrap(observations)
+
+        def counting_observe(table, *args):
+            observed.append(args)
+            return observe(table, *args)
+
+        monkeypatch.setattr(eva_scheduler, "throughput_reports", counting_unwrap)
+        monkeypatch.setattr(
+            CoLocationThroughputTable, "observe_single_task_job", counting_observe
+        )
+        scheduler = EvaScheduler(example_catalog)
+        actions = []
+        for snapshot, observations in rounds:
+            if copy:
+                decision = scheduler.decide(snapshot, tuple(list(observations)))
+            else:
+                decision = scheduler.decide(snapshot, observations)
+            actions.append(repr(decision.actions))
+        monkeypatch.undo()
+        return (
+            actions,
+            scheduler.policy.estimator.total_events,
+            len(unwraps),
+            len(observed),
+        )
+
+    def test_same_tuple_decides_as_equal_copies(self, example_catalog, monkeypatch):
+        rounds = self._rounds(example_catalog)
+        same = self._run(example_catalog, rounds, False, monkeypatch)
+        copies = self._run(example_catalog, rounds, True, monkeypatch)
+        assert same[0] == copies[0]
+        # Two arrivals, then the finish tuple handed twice: a kept count
+        # is added in every round handed its tuple, as a fresh read is.
+        assert same[1] == copies[1] == 2 + 1 + 1
+        # One unwrap per distinct tuple, against one per round.
+        assert same[2] == 3
+        assert copies[2] == len(rounds)
+        # The monitor applies each distinct set of reports until the
+        # table stops moving: the steady pair twice, since its first
+        # ingest recorded new entries, and the finish round's report,
+        # already known, once.
+        assert same[3] == copies[3] == 2 + 2 + 1
 
 
 class TestThroughputIntegration:

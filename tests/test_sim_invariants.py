@@ -38,8 +38,10 @@ from repro.core import EvaScheduler, make_scheduler, scheduler_names
 from repro.core.interfaces import Scheduler
 from repro.core.protocol import (
     AssignTask,
+    DeadlineApproaching,
     MigrateTask,
     TerminateInstance,
+    ThroughputReport,
     replay_decision,
 )
 from repro.sim.accounting import deadline_totals, failure_totals, naive_totals
@@ -476,6 +478,20 @@ class _RecomputingSimulator(ClusterSimulator):
         super()._on_round()
 
 
+class _AllObservationsSimulator(ClusterSimulator):
+    """The simulator building every observation kind, whatever the
+    scheduler's ``observation_types`` leaves out: throughput reports
+    each round, and deadline warnings whenever the trace has
+    deadlines."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._builds_reports = True
+        self._scans_deadlines = any(
+            job.deadline_hours is not None for job in self.trace
+        )
+
+
 def _record_rounds(scheduler: Scheduler) -> list[tuple]:
     """Wrap ``scheduler.decide`` to record each round's inputs: the time,
     the task and job ids, each instance's id and task ids, and the
@@ -867,7 +883,12 @@ class TestRecomputingOracle:
     round hands the scheduler equal inputs and the results are
     byte-identical.  Per-round inputs catch a missing mark that the
     results alone may hide (the scheduler can decide the same on a stale
-    report)."""
+    report).
+
+    The reference also hands Eva a fresh observations tuple every round
+    (its reports are rebuilt, so the tuple wrapping them is new), so it
+    is the reference path for Eva's read-once tuple cache as well: a
+    steady round there is read in full."""
 
     @staticmethod
     def _assert_recomputed_identical(monkeypatch, run):
@@ -909,6 +930,67 @@ class TestRecomputingOracle:
             return rounds, sim_cls(trace=trace, scheduler=policy).run()
 
         self._assert_recomputed_identical(monkeypatch, run)
+
+
+class TestObservationVocabularyOracle:
+    """A scheduler's ``observation_types`` only spares the simulator
+    work: every registered scheduler gives byte-identical results
+    whether or not the simulator builds the kinds it leaves out."""
+
+    @staticmethod
+    def _assert_vocabulary_free_identical(monkeypatch, run):
+        """``run(sim_cls)`` simulates under a fresh scheduler."""
+        pickled = []
+        for sim_cls in (ClusterSimulator, _AllObservationsSimulator):
+            monkeypatch.setattr(
+                instance_module, "_instance_counter", itertools.count(1)
+            )
+            pickled.append(pickle.dumps(run(sim_cls)))
+        assert pickled[0] == pickled[1]
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("scheduler", scheduler_names())
+    def test_fuzzed_scenario(self, scheduler, seed, catalog, monkeypatch):
+        scenario = _fuzz_scenario(seed)
+        self._assert_vocabulary_free_identical(
+            monkeypatch,
+            lambda sim_cls: _simulate(
+                scenario, make_scheduler(scheduler, catalog), sim_cls=sim_cls
+            ),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("scheduler", scheduler_names())
+    def test_random_trace(self, scheduler, seed, catalog, monkeypatch):
+        trace = _random_trace(seed)
+        self._assert_vocabulary_free_identical(
+            monkeypatch,
+            lambda sim_cls: sim_cls(
+                trace=trace, scheduler=make_scheduler(scheduler, catalog)
+            ).run(),
+        )
+
+    def test_reference_builds_what_the_vocabulary_skips(self, catalog):
+        """The oracle compares two different paths: under No-Packing the
+        stock simulator hands over no report or warning, the reference
+        does."""
+        scenario = next(
+            scenario
+            for scenario in map(_fuzz_scenario, range(24))
+            if any(
+                job.deadline_hours is not None
+                for job in scenario.trace.build(default_seed=scenario.seed)
+            )
+        )
+        kinds = []
+        for sim_cls in (ClusterSimulator, _AllObservationsSimulator):
+            scheduler = make_scheduler("no-packing", catalog)
+            rounds = _record_rounds(scheduler)
+            _simulate(scenario, scheduler, sim_cls=sim_cls)
+            kinds.append({type(obs) for r in rounds for obs in r[-1]})
+        stock, reference = kinds
+        assert not stock & {ThroughputReport, DeadlineApproaching}
+        assert {ThroughputReport, DeadlineApproaching} <= reference
 
 
 class TestAllocationIntegrator:

@@ -276,6 +276,13 @@ class TestUnassignTask:
         assert 1800.0 in verified_at and 1800.0 + checkpoint_s in verified_at
 
 
+class _ReportReadingNoPacking(NoPackingScheduler):
+    """No-Packing's placements with every observation kind delivered,
+    so the simulator builds the reports the tests below inspect."""
+
+    observation_types = None
+
+
 class TestRoundInputIdentity:
     """Rounds whose inputs did not change hand the scheduler the same
     objects, which the consumers' identity fast paths rely on: the
@@ -291,7 +298,7 @@ class TestRoundInputIdentity:
     @pytest.fixture()
     def rounds(self, catalog, monkeypatch):
         trace = _trace([("A3C", 2.0, 0.0), ("A3C", 2.0, 450.0)])
-        scheduler = NoPackingScheduler(catalog)
+        scheduler = _ReportReadingNoPacking(catalog)
         monitor = ThroughputMonitor()
         observed = []
         observe = CoLocationThroughputTable.observe_single_task_job

@@ -1,6 +1,6 @@
 """Tests for the determinism & invariant linter (``repro.analysis``).
 
-Covers all six rule classes with crafted positive/negative sources,
+Covers all seven rule classes with crafted positive/negative sources,
 suppression-comment parsing, baseline matching, the seeded historical
 bug classes from the acceptance criteria (unsorted frozenset iteration
 in a packing tie-break; a Scenario field missing from the fingerprint),
@@ -19,6 +19,7 @@ from repro.analysis.contracts import (
     ClassIndex,
     check_action_vocabulary,
     check_observation_purity,
+    check_observation_vocabulary,
 )
 from repro.analysis.coverage import (
     CoverageTarget,
@@ -310,6 +311,113 @@ class TestObservationPurity:
                 return job.deadline_hours
         """
         assert "observation-purity" not in _rules(_run_ast_rules(source))
+
+
+# ---------------------------------------------------------------------------
+# Rule 7: observation-vocabulary
+# ---------------------------------------------------------------------------
+
+_OBSERVING_PREAMBLE = """
+        class Scheduler:
+            observation_types = None
+
+            def on_throughput_reports(self, reports):
+                pass
+"""
+
+
+def _observation_vocabulary_findings(source: str) -> list[Finding]:
+    facts = _facts(source)
+    return check_observation_vocabulary(facts, ClassIndex([facts]))
+
+
+class TestObservationVocabulary:
+    def test_positive_report_hook_without_reports(self) -> None:
+        source = _OBSERVING_PREAMBLE + """
+        class Deaf(Scheduler):
+            observation_types = frozenset({JobArrived})
+
+            def on_throughput_reports(self, reports):
+                self.seen = reports
+        """
+        findings = _observation_vocabulary_findings(source)
+        assert _rules(findings) == {"observation-vocabulary"}
+        assert "on_throughput_reports" in findings[0].message
+        # Reported at Deaf's own hook, the last one in the source.
+        lines = textwrap.dedent(source).splitlines()
+        assert findings[0].line == max(
+            n for n, text in enumerate(lines, 1) if "def on_throughput" in text
+        )
+
+    def test_positive_report_hook_inherited_from_policy(self) -> None:
+        source = _OBSERVING_PREAMBLE + """
+        class Listener(Scheduler):
+            def on_throughput_reports(self, reports):
+                self.seen = reports
+
+        class Deaf(Listener):
+            observation_types = frozenset()
+        """
+        findings = _observation_vocabulary_findings(source)
+        assert len(findings) == 1
+        assert "Deaf" in findings[0].message
+        assert "from Listener" in findings[0].message
+
+    def test_positive_test_outside_vocabulary(self) -> None:
+        source = _OBSERVING_PREAMBLE + """
+        class Narrow(Scheduler):
+            observation_types = frozenset({ThroughputReport})
+
+            def observe(self, observations):
+                for obs in observations:
+                    if isinstance(obs, (ThroughputReport, protocol.PriceChanged)):
+                        self.seen = obs
+        """
+        findings = _observation_vocabulary_findings(source)
+        assert len(findings) == 1
+        assert "PriceChanged" in findings[0].message
+
+    def test_negative_declared_kinds(self) -> None:
+        source = _OBSERVING_PREAMBLE + """
+        class Reader(Scheduler):
+            observation_types = frozenset({ThroughputReport, JobArrived})
+
+            def on_throughput_reports(self, reports):
+                self.seen = reports
+
+            def observe(self, observations):
+                return [o for o in observations if isinstance(o, JobArrived)]
+        """
+        assert _observation_vocabulary_findings(source) == []
+
+    def test_negative_unrestricted_and_root_default(self) -> None:
+        """No declaration, or ``None``, reads everything; the root's
+        no-op default hook is not a definition to flag."""
+        source = _OBSERVING_PREAMBLE + """
+        class Open(Scheduler):
+            def on_throughput_reports(self, reports):
+                self.seen = reports
+
+        class Explicit(Open):
+            observation_types = None
+
+            def observe(self, observations):
+                return [o for o in observations if isinstance(o, PriceChanged)]
+
+        class Deaf(Scheduler):
+            observation_types = frozenset()
+        """
+        assert _observation_vocabulary_findings(source) == []
+
+    def test_non_policy_classes_exempt(self) -> None:
+        source = """
+        class Recorder:
+            observation_types = frozenset()
+
+            def on_throughput_reports(self, reports):
+                return [r for r in reports if isinstance(r, ThroughputReport)]
+        """
+        assert _observation_vocabulary_findings(source) == []
 
 
 # ---------------------------------------------------------------------------
